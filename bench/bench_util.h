@@ -5,6 +5,8 @@
 // have a performance trajectory to not regress.
 #pragma once
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -91,7 +93,11 @@ class JsonRow {
 };
 
 // Appends `row` to the JSON array in `path`, creating the file if
-// needed. Returns false (and prints a warning) on I/O failure.
+// needed. The new array is written to a per-process temp file and
+// renamed into place, so a reader never sees a half-written file.
+// Appends to one path are still read-modify-write: give concurrent
+// writers (e.g. ctest -j smokes) their own files. Returns false (and
+// prints a warning) on I/O failure.
 inline bool append_bench_json(const std::string& path, const JsonRow& row) {
   std::string existing;
   {
@@ -108,17 +114,31 @@ inline bool append_bench_json(const std::string& path, const JsonRow& row) {
           existing.back() == ']')) {
     existing.pop_back();
   }
-  std::ofstream out{path, std::ios::trunc};
-  if (!out) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  {
+    std::ofstream out{tmp, std::ios::trunc};
+    if (!out) {
+      std::fprintf(stderr, "bench: cannot write %s\n", tmp.c_str());
+      return false;
+    }
+    if (existing.empty() || existing == "[") {
+      out << "[\n  " << row.render() << "\n]\n";
+    } else {
+      out << existing << ",\n  " << row.render() << "\n]\n";
+    }
+    if (!out.flush()) {
+      std::fprintf(stderr, "bench: cannot write %s\n", tmp.c_str());
+      std::remove(tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "bench: cannot rename %s to %s\n", tmp.c_str(),
+                 path.c_str());
+    std::remove(tmp.c_str());
     return false;
   }
-  if (existing.empty() || existing == "[") {
-    out << "[\n  " << row.render() << "\n]\n";
-  } else {
-    out << existing << ",\n  " << row.render() << "\n]\n";
-  }
-  return out.good();
+  return true;
 }
 
 }  // namespace slingshot::bench

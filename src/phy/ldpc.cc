@@ -13,9 +13,9 @@ namespace {
 constexpr float kMinSumScale = 0.8F;  // normalized min-sum correction
 
 // Flip `v`'s hard decision: toggle the syndrome bit of every adjacent
-// check and keep the unsatisfied-check count current. This is how
-// parity tracking stays folded into the update pass — no full
-// check_parity walk per iteration.
+// check and keep the unsatisfied-check count current. This is how the
+// layered schedule folds parity tracking into its update pass — no
+// full check_parity walk per iteration.
 inline void flip_bit(int v, const std::vector<int>& var_edge_offset,
                      const std::vector<int>& var_edges,
                      const std::vector<int>& edge_check,
@@ -122,6 +122,35 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
   for (int e = 0; e < num_edges_; ++e) {
     var_edges_[std::size_t(cursor_of_var[std::size_t(edge_var_[std::size_t(
         e)])]++)] = e;
+  }
+
+  // Check-block layout for the batched flooding decoder. Every column
+  // gets exactly wc edges above (a duplicate the guard could not
+  // resolve is kept as two edges), which is vn_update's fixed weight.
+  column_weight_ = wc;
+  constexpr int kLanes = simd::kBlockLanes;
+  const int num_blocks = (m + kLanes - 1) / kLanes;
+  block_slot_.assign(std::size_t(num_blocks) + 1, 0);
+  for (int b = 0; b < num_blocks; ++b) {
+    int slots = 0;
+    for (int c = b * kLanes; c < std::min(m, (b + 1) * kLanes); ++c) {
+      slots = std::max(slots, int(check_vars[std::size_t(c)].size()));
+    }
+    block_slot_[std::size_t(b) + 1] = block_slot_[std::size_t(b)] + slots;
+  }
+  var_slots_.assign(std::size_t((n + kLanes - 1) / kLanes * wc * kLanes), 0);
+  msg_var_.assign(std::size_t(block_slot_.back()) * kLanes, n);
+  for (int v = 0; v < n; ++v) {
+    for (int i = 0; i < wc; ++i) {
+      const int e =
+          var_edges_[std::size_t(var_edge_offset_[std::size_t(v)] + i)];
+      const int c = edge_check_[std::size_t(e)];
+      const int slot = block_slot_[std::size_t(c / kLanes)] +
+                       (e - check_edge_offset_[std::size_t(c)]);
+      const int msg = slot * kLanes + c % kLanes;
+      var_slots_[simd::vn_slot(v, i, wc)] = msg;
+      msg_var_[std::size_t(msg)] = v;
+    }
   }
 
   // --- Derive a systematic encoder by Gaussian elimination (RREF) on a
@@ -247,76 +276,80 @@ LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
                                              int max_iterations,
                                              DecodeWorkspace& ws,
                                              LdpcSchedule schedule) const {
+  // SIMD-dispatched kernels; bit-exact against the scalar reference at
+  // every level (see phy/simd.h), so decode outcomes — and the golden
+  // trace that pins them — don't depend on the CPU.
+  return decode_into(llr, max_iterations, ws, schedule, simd::kernels());
+}
+
+LdpcCode::DecodeStatus LdpcCode::decode_into(
+    std::span<const float> llr, int max_iterations, DecodeWorkspace& ws,
+    LdpcSchedule schedule, const simd::Kernels& kernels) const {
   if (int(llr.size()) != n_) {
     throw std::invalid_argument{"LdpcCode::decode: wrong LLR length"};
   }
   ws.codeword.assign(std::size_t(n_), 0);
-  ws.var_to_check.resize(std::size_t(num_edges_));
-  ws.check_to_var.resize(std::size_t(num_edges_));
-  ws.syndrome.assign(std::size_t(m_), 0);
 
   DecodeStatus status;
-  // All-zero hard decisions satisfy every check, so the live
-  // unsatisfied-check count starts at 0 and flip_bit() keeps it exact.
-  int unsatisfied = 0;
-
-  // SIMD-dispatched check-node kernel; bit-exact against the scalar
-  // reference at every level (see phy/simd.h), so decode outcomes —
-  // and the golden trace that pins them — don't depend on the CPU.
-  const auto& kernels = simd::kernels();
-
   if (schedule == LdpcSchedule::kFlooding) {
-    // Init var->check with channel LLRs.
-    for (int e = 0; e < num_edges_; ++e) {
-      ws.var_to_check[std::size_t(e)] = llr[std::size_t(edge_var_[std::size_t(e)])];
+    // Check-block batched flooding. posterior[n] is the pad entry that
+    // msg_var_ names for padding messages: it seeds them with the
+    // neutral kBlockPad, which vn_update (writing real edges' slots
+    // only) never overwrites, and as a positive total it is parity
+    // neutral too.
+    constexpr int kLanes = simd::kBlockLanes;
+    const std::size_t num_msgs = msg_var_.size();
+    ws.posterior.resize(std::size_t(n_) + 1);
+    std::copy(llr.begin(), llr.end(), ws.posterior.begin());
+    ws.posterior[std::size_t(n_)] = simd::kBlockPad;
+    ws.var_to_check.resize(num_msgs);
+    ws.check_to_var.resize(num_msgs);
+    for (std::size_t s = 0; s < num_msgs; ++s) {
+      ws.var_to_check[s] = ws.posterior[std::size_t(msg_var_[s])];
     }
 
-    for (int iter = 1; iter <= max_iterations; ++iter) {
-      // Check-node update (normalized min-sum with exclusion). Each
-      // check's edges are contiguous in the SoA arrays, so the kernel
-      // runs straight over the message slabs.
-      for (int c = 0; c < m_; ++c) {
-        const int base = check_edge_offset_[std::size_t(c)];
-        const int deg = check_edge_offset_[std::size_t(c) + 1] - base;
-        kernels.cn_minsum(&ws.var_to_check[std::size_t(base)],
-                          &ws.check_to_var[std::size_t(base)], deg,
-                          kMinSumScale);
-      }
-
-      // Variable-node update; parity tracked on the fly as hard
-      // decisions flip.
-      for (int v = 0; v < n_; ++v) {
-        float total = llr[std::size_t(v)];
-        const int begin = var_edge_offset_[std::size_t(v)];
-        const int end = var_edge_offset_[std::size_t(v) + 1];
-        for (int i = begin; i < end; ++i) {
-          total += ws.check_to_var[std::size_t(var_edges_[std::size_t(i)])];
-        }
-        for (int i = begin; i < end; ++i) {
-          const int e = var_edges_[std::size_t(i)];
-          ws.var_to_check[std::size_t(e)] =
-              total - ws.check_to_var[std::size_t(e)];
-        }
-        const std::uint8_t bit = total < 0.0F ? 1 : 0;
-        if (bit != ws.codeword[std::size_t(v)]) {
-          ws.codeword[std::size_t(v)] = bit;
-          flip_bit(v, var_edge_offset_, var_edges_, edge_check_, ws.syndrome,
-                   unsatisfied);
+    const auto all_checks_met = [&] {
+      for (std::size_t b = 0; b + 1 < block_slot_.size(); ++b) {
+        if (!kernels.block_parity_ok(
+                ws.posterior.data(),
+                &msg_var_[std::size_t(block_slot_[b]) * kLanes],
+                block_slot_[b + 1] - block_slot_[b])) {
+          return false;
         }
       }
-
+      return true;
+    };
+    for (int iter = 1; iter <= max_iterations && !status.parity_ok; ++iter) {
+      for (std::size_t b = 0; b + 1 < block_slot_.size(); ++b) {
+        const auto base = std::size_t(block_slot_[b]) * kLanes;
+        kernels.cn_minsum_block(&ws.var_to_check[base], &ws.check_to_var[base],
+                                block_slot_[b + 1] - block_slot_[b],
+                                kMinSumScale);
+      }
+      kernels.vn_update(llr.data(), n_, column_weight_, var_slots_.data(),
+                        ws.check_to_var.data(), ws.var_to_check.data(),
+                        ws.posterior.data());
       status.iterations_used = iter;
-      if (unsatisfied == 0) {
-        status.parity_ok = true;
-        return status;
-      }
+      status.parity_ok = all_checks_met();
     }
-    status.parity_ok = unsatisfied == 0;
+    if (status.iterations_used == 0) {
+      // All-zero decisions (no iteration ran) satisfy every check.
+      status.parity_ok = true;
+      return status;
+    }
+    for (int v = 0; v < n_; ++v) {
+      ws.codeword[std::size_t(v)] = ws.posterior[std::size_t(v)] < 0.0F;
+    }
     return status;
   }
 
   // --- Layered (serial-C) schedule: each check updates against the
-  // live posterior, so beliefs propagate within an iteration.
+  // live posterior, so beliefs propagate within an iteration. Parity is
+  // tracked on the fly: the all-zero start satisfies every check, and
+  // flip_bit() keeps the unsatisfied count exact.
+  ws.check_to_var.resize(std::size_t(num_edges_));
+  ws.syndrome.assign(std::size_t(m_), 0);
+  int unsatisfied = 0;
   ws.posterior.assign(llr.begin(), llr.end());
   std::fill(ws.check_to_var.begin(), ws.check_to_var.end(), 0.0F);
   ws.layer_q.resize(std::size_t(max_check_degree_));

@@ -12,15 +12,24 @@
 //  * kFlooding — all check nodes update, then all variable nodes. The
 //    codebase-wide default; its arithmetic is bit-identical across
 //    refactors, which the golden-trace determinism test relies on.
+//    It runs check-block batched: checks are grouped into blocks of
+//    simd::kBlockLanes, messages are stored slot-major
+//    ([block][slot j][lane], unused lanes and slots padded with the
+//    neutral simd::kBlockPad), one cn_minsum_block call updates a whole
+//    block with contiguous loads, and one vn_update call sums each
+//    variable's incoming messages in its original edge order (float
+//    order is what keeps the result exact). Parity is recomputed from
+//    the hard decisions after each iteration, block by block, stopping
+//    at the first block with an unsatisfied check.
 //  * kLayered — serial-C: checks update one at a time against the live
 //    posterior, so information propagates within an iteration and the
 //    decoder converges in roughly half the iterations at equal FER.
+//    Parity is tracked on the fly as hard decisions flip.
 //
 // The hot decode path is allocation-free: callers own a reusable
-// DecodeWorkspace whose buffers amortize to zero heap traffic, parity is
-// tracked on the fly as hard decisions flip (no per-iteration
-// check_parity walk), and the Tanner graph is stored as flat SoA edge
-// arrays rather than vector<vector<int>> adjacency.
+// DecodeWorkspace whose buffers amortize to zero heap traffic, and the
+// Tanner graph is stored as flat SoA edge arrays rather than
+// vector<vector<int>> adjacency.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +39,10 @@
 #include "common/bits.h"
 
 namespace slingshot {
+
+namespace simd {
+struct Kernels;
+}  // namespace simd
 
 enum class LdpcSchedule : std::uint8_t { kFlooding = 0, kLayered = 1 };
 
@@ -67,12 +80,12 @@ class LdpcCode {
   // land in `codeword`.
   struct DecodeWorkspace {
     std::vector<std::uint8_t> codeword;   // n hard decisions (output)
-    std::vector<float> var_to_check;      // per-edge messages
-    std::vector<float> check_to_var;      // per-edge messages
-    std::vector<float> posterior;         // layered: live LLR accumulator
+    std::vector<float> var_to_check;      // flooding: check-block messages
+    std::vector<float> check_to_var;      // per-edge / check-block messages
+    std::vector<float> posterior;         // per-variable posterior LLR
     std::vector<float> layer_q;           // layered: one check's inputs
     std::vector<float> layer_r;           // layered: one check's outputs
-    std::vector<std::uint8_t> syndrome;   // per-check parity bit
+    std::vector<std::uint8_t> syndrome;   // layered: per-check parity bit
   };
 
   struct DecodeStatus {
@@ -87,6 +100,11 @@ class LdpcCode {
                            DecodeWorkspace& ws,
                            LdpcSchedule schedule = LdpcSchedule::kFlooding)
       const;
+  // Same decode on an explicit kernel table instead of the dispatched
+  // simd::kernels(), so parity tests can pin every SIMD level.
+  DecodeStatus decode_into(std::span<const float> llr, int max_iterations,
+                           DecodeWorkspace& ws, LdpcSchedule schedule,
+                           const simd::Kernels& kernels) const;
 
   // Convenience wrapper around decode_into() that returns an owned
   // codeword (flooding schedule; message buffers come from a
@@ -95,6 +113,21 @@ class LdpcCode {
                                     int max_iterations) const;
 
   [[nodiscard]] bool check_parity(std::span<const std::uint8_t> cw) const;
+
+  // Read-only view of the Tanner graph's flat edge numbering, for
+  // reference decoders: check c owns edges [check_edge_offset[c],
+  // check_edge_offset[c+1]) touching variables edge_var[e]; variable v
+  // lists its edge ids at var_edges[var_edge_offset[v] ..
+  // var_edge_offset[v+1]), in the order its messages are summed.
+  struct Graph {
+    std::span<const int> check_edge_offset;
+    std::span<const int> edge_var;
+    std::span<const int> var_edge_offset;
+    std::span<const int> var_edges;
+  };
+  [[nodiscard]] Graph graph() const {
+    return {check_edge_offset_, edge_var_, var_edge_offset_, var_edges_};
+  }
 
   // The codebase-wide default code: n = 648, rate 1/2 — one
   // representative codeword per transport block.
@@ -113,6 +146,18 @@ class LdpcCode {
   std::vector<int> edge_check_;         // owning check of each edge
   int num_edges_ = 0;
   int max_check_degree_ = 0;
+  int column_weight_ = 0;
+  // Flooding check-block layout. Block b holds checks
+  // [b * kBlockLanes, (b + 1) * kBlockLanes) in slots [block_slot_[b],
+  // block_slot_[b+1]) — as many as its highest check degree — and the
+  // message of (slot s, lane l) lives at s * kBlockLanes + l. var_slots_
+  // is simd::Kernels::vn_update's table of each variable's message
+  // indices, in var_edges_ order; msg_var_ maps each message back to its
+  // variable, padding to n (the workspace's pad entry past the last
+  // variable).
+  std::vector<int> block_slot_;
+  std::vector<std::int32_t> var_slots_;
+  std::vector<std::int32_t> msg_var_;
   // Systematic encoder: after RREF, pivot (parity) columns and the
   // info columns, plus per-parity-row masks over info bits.
   std::vector<int> info_cols_;

@@ -46,6 +46,58 @@ void cn_minsum_scalar(const float* q, float* r, int deg, float scale) {
   }
 }
 
+void cn_minsum_block_scalar(const float* q, float* r, int deg, float scale) {
+  constexpr std::size_t kLanes = kBlockLanes;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    float min1 = kBlockPad;
+    float min2 = kBlockPad;
+    unsigned sign_all = 0;
+    for (int j = 0; j < deg; ++j) {
+      const float v = q[std::size_t(j) * kLanes + lane];
+      const float mag = std::fabs(v);
+      sign_all ^= v < 0.0F ? 1U : 0U;
+      min2 = std::min(min2, std::max(min1, mag));
+      min1 = std::min(min1, mag);
+    }
+    for (int j = 0; j < deg; ++j) {
+      const float v = q[std::size_t(j) * kLanes + lane];
+      const unsigned sign_excl = sign_all ^ (v < 0.0F ? 1U : 0U);
+      const float mag = std::fabs(v) == min1 ? min2 : min1;
+      r[std::size_t(j) * kLanes + lane] =
+          (sign_excl ? -1.0F : 1.0F) * scale * mag;
+    }
+  }
+}
+
+void vn_update_scalar(const float* llr, int n, int w,
+                      const std::int32_t* slots, const float* c2v, float* v2c,
+                      float* total) {
+  for (int v = 0; v < n; ++v) {
+    float sum = llr[v];
+    for (int i = 0; i < w; ++i) {
+      sum += c2v[slots[vn_slot(v, i, w)]];
+    }
+    for (int i = 0; i < w; ++i) {
+      const std::int32_t s = slots[vn_slot(v, i, w)];
+      v2c[s] = sum - c2v[s];
+    }
+    total[v] = sum;
+  }
+}
+
+bool block_parity_ok_scalar(const float* total, const std::int32_t* vars,
+                            int deg) {
+  unsigned odd = 0;
+  for (int lane = 0; lane < kBlockLanes; ++lane) {
+    unsigned parity = 0;
+    for (int j = 0; j < deg; ++j) {
+      parity ^= total[vars[j * kBlockLanes + lane]] < 0.0F ? 1U : 0U;
+    }
+    odd |= parity;
+  }
+  return odd == 0;
+}
+
 // One PAM dimension of one symbol: max-log LLR per bit position.
 void demap_dim_scalar(float y, const float* levels, int bits_per_dim,
                       double sigma2, float* dst) {
@@ -208,9 +260,10 @@ void bfp_unpack_scalar(const std::uint8_t* src, std::size_t n, int m,
 }
 
 constexpr Kernels kScalarKernels{
-    cn_minsum_scalar,  demap_soft_scalar,    deadline_scan_scalar,
-    ar1_update_scalar, peak_abs_scalar,      bfp_quantize_scalar,
-    bfp_dequantize_scalar, bfp_pack_scalar,  bfp_unpack_scalar};
+    cn_minsum_scalar,       cn_minsum_block_scalar, vn_update_scalar,
+    block_parity_ok_scalar, demap_soft_scalar,      deadline_scan_scalar,
+    ar1_update_scalar,      peak_abs_scalar,        bfp_quantize_scalar,
+    bfp_dequantize_scalar,  bfp_pack_scalar,        bfp_unpack_scalar};
 
 #if SLINGSHOT_SIMD_X86
 
@@ -303,6 +356,39 @@ void cn_minsum_sse2(const float* q, float* r, int deg, float scale) {
     alignas(16) float out_buf[4];
     _mm_store_ps(out_buf, _mm_xor_ps(_mm_mul_ps(vscale, sel), flip));
     std::memcpy(r + j, out_buf, std::size_t(tail) * sizeof(float));
+  }
+}
+
+// The block kernel needs no horizontal merge: each lane is its own
+// check, so the lane-wise two smallest ARE the check's (min1, min2).
+// A block row is two 4-lane halves.
+void cn_minsum_block_sse2(const float* q, float* r, int deg, float scale) {
+  const __m128 sign_mask = _mm_set1_ps(-0.0F);
+  const __m128 zero = _mm_setzero_ps();
+  const __m128 vscale = _mm_set1_ps(scale);
+  for (int half = 0; half < kBlockLanes; half += 4) {
+    __m128 vmin1 = _mm_set1_ps(kBlockPad);
+    __m128 vmin2 = vmin1;
+    __m128 parity = zero;
+    for (int j = 0; j < deg; ++j) {
+      const __m128 v = _mm_loadu_ps(q + j * kBlockLanes + half);
+      const __m128 mag = _mm_andnot_ps(sign_mask, v);
+      parity = _mm_xor_ps(parity, _mm_cmplt_ps(v, zero));
+      vmin2 = _mm_min_ps(vmin2, _mm_max_ps(vmin1, mag));
+      vmin1 = _mm_min_ps(vmin1, mag);
+    }
+    const __m128 flip_bias = _mm_and_ps(parity, sign_mask);
+    for (int j = 0; j < deg; ++j) {
+      const __m128 v = _mm_loadu_ps(q + j * kBlockLanes + half);
+      const __m128 mag = _mm_andnot_ps(sign_mask, v);
+      const __m128 eq = _mm_cmpeq_ps(mag, vmin1);
+      const __m128 sel =
+          _mm_or_ps(_mm_and_ps(eq, vmin2), _mm_andnot_ps(eq, vmin1));
+      const __m128 neg = _mm_and_ps(_mm_cmplt_ps(v, zero), sign_mask);
+      const __m128 flip = _mm_xor_ps(neg, flip_bias);
+      _mm_storeu_ps(r + j * kBlockLanes + half,
+                    _mm_xor_ps(_mm_mul_ps(vscale, sel), flip));
+    }
   }
 }
 
@@ -558,13 +644,23 @@ void bfp_unpack_sse2(const std::uint8_t* src, std::size_t n, int m,
   bfp_unpack_scalar(src, n, m, q);
 }
 
+// SSE2 has no gather, so the variable-node update and the block parity
+// stay scalar there.
 constexpr Kernels kSse2Kernels{
-    cn_minsum_sse2,  demap_soft_sse2,    deadline_scan_sse2,
-    ar1_update_sse2, peak_abs_sse2,      bfp_quantize_sse2,
-    bfp_dequantize_sse2, bfp_pack_sse2,  bfp_unpack_sse2};
+    cn_minsum_sse2,         cn_minsum_block_sse2, vn_update_scalar,
+    block_parity_ok_scalar, demap_soft_sse2,      deadline_scan_sse2,
+    ar1_update_sse2,        peak_abs_sse2,        bfp_quantize_sse2,
+    bfp_dequantize_sse2,    bfp_pack_sse2,        bfp_unpack_sse2};
 
 // ---------------------------------------------------------------------
 // AVX2.
+//
+// A kernel that hands its tail to a scalar helper calls
+// _mm256_zeroupper() first: GCC 12 does not reliably emit vzeroupper
+// before such a call (nor before the return after it), and upper YMM
+// state left dirty slows every legacy-SSE instruction the rest of the
+// program runs afterwards. A unit test checks every kernel:
+// SimdKernels.Avx2KernelsReturnWithUpperYmmStateClean.
 // ---------------------------------------------------------------------
 
 // Load mask covering the first `count` (1..8) lanes.
@@ -646,6 +742,87 @@ __attribute__((target("avx2"))) void cn_minsum_avx2(const float* q, float* r,
   }
 }
 
+// One register per block row: the lane-wise pass-1 state is the answer,
+// with no tail masks and no horizontal merge.
+__attribute__((target("avx2"))) void cn_minsum_block_avx2(const float* q,
+                                                          float* r, int deg,
+                                                          float scale) {
+  const __m256 sign_mask = _mm256_set1_ps(-0.0F);
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 vmin1 = _mm256_set1_ps(kBlockPad);
+  __m256 vmin2 = vmin1;
+  __m256 parity = zero;
+  for (int j = 0; j < deg; ++j) {
+    const __m256 v = _mm256_loadu_ps(q + j * kBlockLanes);
+    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
+    parity = _mm256_xor_ps(parity, _mm256_cmp_ps(v, zero, _CMP_LT_OQ));
+    vmin2 = _mm256_min_ps(vmin2, _mm256_max_ps(vmin1, mag));
+    vmin1 = _mm256_min_ps(vmin1, mag);
+  }
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 flip_bias = _mm256_and_ps(parity, sign_mask);
+  for (int j = 0; j < deg; ++j) {
+    const __m256 v = _mm256_loadu_ps(q + j * kBlockLanes);
+    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
+    const __m256 eq = _mm256_cmp_ps(mag, vmin1, _CMP_EQ_OQ);
+    const __m256 sel = _mm256_blendv_ps(vmin1, vmin2, eq);
+    const __m256 neg =
+        _mm256_and_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ), sign_mask);
+    const __m256 flip = _mm256_xor_ps(neg, flip_bias);
+    _mm256_storeu_ps(r + j * kBlockLanes,
+                     _mm256_xor_ps(_mm256_mul_ps(vscale, sel), flip));
+  }
+}
+
+// Eight variables per pass: gather each edge's incoming message, add in
+// edge order (one vaddps per edge is the scalar left-to-right sum,
+// lane-wise), then scatter sum - c2v through a stack buffer, since
+// AVX2 has no scatter. The partial last group runs the scalar loop.
+__attribute__((target("avx2"))) void vn_update_avx2(
+    const float* llr, int n, int w, const std::int32_t* slots,
+    const float* c2v, float* v2c, float* total) {
+  const int full = n - n % kBlockLanes;
+  for (int v = 0; v < full; v += kBlockLanes) {
+    const std::int32_t* group = slots + std::size_t(v) * std::size_t(w);
+    __m256 sum = _mm256_loadu_ps(llr + v);
+    for (int i = 0; i < w; ++i) {
+      const __m256i idx = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(group + i * kBlockLanes));
+      sum = _mm256_add_ps(sum, _mm256_i32gather_ps(c2v, idx, 4));
+    }
+    _mm256_storeu_ps(total + v, sum);
+    for (int i = 0; i < w; ++i) {
+      const std::int32_t* idx = group + i * kBlockLanes;
+      const __m256 in = _mm256_i32gather_ps(
+          c2v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), 4);
+      alignas(32) float out[kBlockLanes];
+      _mm256_store_ps(out, _mm256_sub_ps(sum, in));
+      for (int lane = 0; lane < kBlockLanes; ++lane) {
+        v2c[idx[lane]] = out[lane];
+      }
+    }
+  }
+  // `full` is a group boundary, so the tail's slot table starts there.
+  _mm256_zeroupper();
+  vn_update_scalar(llr + full, n - full, w,
+                   slots + std::size_t(full) * std::size_t(w), c2v, v2c,
+                   total + full);
+}
+
+__attribute__((target("avx2"))) bool block_parity_ok_avx2(
+    const float* total, const std::int32_t* vars, int deg) {
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 parity = zero;
+  for (int j = 0; j < deg; ++j) {
+    const __m256i idx = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(vars + j * kBlockLanes));
+    parity = _mm256_xor_ps(
+        parity,
+        _mm256_cmp_ps(_mm256_i32gather_ps(total, idx, 4), zero, _CMP_LT_OQ));
+  }
+  return _mm256_movemask_ps(parity) == 0;
+}
+
 __attribute__((target("avx2"))) void demap_soft_avx2(
     const std::complex<float>* symbols, std::size_t count,
     const float* levels, int bits_per_dim, double sigma2, float* out) {
@@ -693,6 +870,7 @@ __attribute__((target("avx2"))) void demap_soft_avx2(
     }
   }
   if (s < count) {
+    _mm256_zeroupper();
     demap_soft_scalar(symbols + s, count - s, levels, bits_per_dim, sigma2,
                       out + s * bps);
   }
@@ -800,6 +978,7 @@ __attribute__((target("avx2"))) void bfp_quantize_avx2(
                         _mm256_set_m128i(hi, lo));
   }
   if (i < n) {
+    _mm256_zeroupper();
     bfp_quantize_scalar(x + i, n - i, inv_scale, max_m, q + i);
   }
 }
@@ -853,6 +1032,7 @@ __attribute__((target("avx2"))) std::size_t bfp_pack_avx2(
     }
     return 2 * n;
   }
+  _mm256_zeroupper();
   return bfp_pack_scalar(q, n, m, dst);
 }
 
@@ -887,13 +1067,15 @@ __attribute__((target("avx2"))) void bfp_unpack_avx2(const std::uint8_t* src,
     }
     return;
   }
+  _mm256_zeroupper();
   bfp_unpack_scalar(src, n, m, q);
 }
 
 constexpr Kernels kAvx2Kernels{
-    cn_minsum_avx2,  demap_soft_avx2,    deadline_scan_avx2,
-    ar1_update_avx2, peak_abs_avx2,      bfp_quantize_avx2,
-    bfp_dequantize_avx2, bfp_pack_avx2,  bfp_unpack_avx2};
+    cn_minsum_avx2,       cn_minsum_block_avx2, vn_update_avx2,
+    block_parity_ok_avx2, demap_soft_avx2,      deadline_scan_avx2,
+    ar1_update_avx2,      peak_abs_avx2,        bfp_quantize_avx2,
+    bfp_dequantize_avx2,  bfp_pack_avx2,        bfp_unpack_avx2};
 
 #endif  // SLINGSHOT_SIMD_X86
 

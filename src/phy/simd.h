@@ -1,6 +1,6 @@
-// Runtime-dispatched SIMD kernels for the PHY's two hottest inner
-// loops: the normalized min-sum check-node update (ldpc.cc) and the
-// max-log soft demapper (modulation.cc).
+// Runtime-dispatched SIMD kernels for the PHY's hottest inner loops:
+// the LDPC decoder's check-node and variable-node updates (ldpc.cc)
+// and the max-log soft demapper (modulation.cc).
 //
 // Contract: every implementation is BIT-EXACT against the scalar
 // reference on all finite inputs — same floats out, down to the sign
@@ -9,14 +9,24 @@
 // simulation results between machines. The implementations stay exact
 // by construction:
 //  * min/max/fabs/compare and sign manipulation are exact in IEEE-754;
-//    no reassociated sums or FMA contractions are used.
+//    no reassociated sums or FMA contractions are used. Sums that do
+//    occur (the variable-node total) are evaluated lane-wise in the
+//    scalar reference's operand order.
 //  * the min-sum magnitude is selected by value equality
 //    (mag == min1 ? min2 : min1), which provably matches the scalar
 //    code's position-based selection: when a non-minimal position ties
 //    with min1, min2 == min1 and both forms emit the same value.
+//  * the lane-wise two-smallest update min2 = min(min2, max(min1, mag));
+//    min1 = min(min1, mag) yields the same (min1, min2) values as the
+//    scalar if/else-if chain, ties included.
 //  * the demapper replicates the scalar path's double-precision
 //    division (cvtps_pd -> div_pd -> cvtpd_ps) instead of multiplying
 //    by a reciprocal.
+//
+// AVX2 kernels are whole target("avx2") functions: VEX-encoded
+// throughout and ending in vzeroupper, so callers compiled for the
+// SSE2 baseline never run legacy-SSE code with dirty upper YMM state.
+// Vector code belongs behind this table, not inline in its callers.
 //
 // Dispatch happens once, at first use: the highest level the CPU
 // supports (AVX2 > SSE2 > scalar), overridable with
@@ -33,6 +43,19 @@ namespace slingshot::simd {
 
 enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
+// Check-block geometry of cn_minsum_block: one AVX2 register of checks,
+// and the padding value that fills unused lanes and slots.
+inline constexpr int kBlockLanes = 8;
+inline constexpr float kBlockPad = 1e30F;
+
+// Position of variable v's i-th edge in vn_update's slot table for
+// column weight w: groups of kBlockLanes variables, edge-major inside a
+// group, so one vector load yields the group's i-th message indices.
+[[nodiscard]] constexpr std::size_t vn_slot(int v, int i, int w) {
+  return std::size_t(((v / kBlockLanes) * w + i) * kBlockLanes +
+                     v % kBlockLanes);
+}
+
 [[nodiscard]] const char* level_name(Level level);
 
 struct Kernels {
@@ -42,6 +65,30 @@ struct Kernels {
   // position j (i.e. min2 at the argmin position, min1 elsewhere).
   // q and r must not alias.
   void (*cn_minsum)(const float* q, float* r, int deg, float scale);
+
+  // cn_minsum over one check block: kBlockLanes checks side by side,
+  // messages stored slot-major (q[j * kBlockLanes + lane] is the lane's
+  // j-th message). Each lane's output equals cn_minsum over that lane's
+  // deg messages; a shorter check pads its column with kBlockPad, which
+  // can never displace a real minimum or flip a sign, so padding is
+  // neutral. q and r must not alias.
+  void (*cn_minsum_block)(const float* q, float* r, int deg, float scale);
+
+  // Flooding variable-node update over n variables of column weight w.
+  // slots[vn_slot(v, i, w)] is the message index s_i of v's i-th edge
+  // (the last group may be partial). For each v: total[v] = llr[v] +
+  // c2v[s_0] + ... + c2v[s_{w-1}], summed left to right, then
+  // v2c[s_i] = total[v] - c2v[s_i]. The hard decision of v is
+  // total[v] < 0. c2v, v2c and total must not alias.
+  void (*vn_update)(const float* llr, int n, int w, const std::int32_t* slots,
+                    const float* c2v, float* v2c, float* total);
+
+  // Parity of one check block's hard decisions: vars[j * kBlockLanes +
+  // lane] is the variable on the lane's j-th edge (a padded slot names
+  // any variable whose total is >= 0). True iff every lane has an even
+  // number of edges with total[var] < 0, i.e. all 8 checks are met.
+  bool (*block_parity_ok)(const float* total, const std::int32_t* vars,
+                          int deg);
 
   // Max-log LLR soft demap of `count` Gray-mapped square-QAM symbols.
   // `levels` holds the 1 << bits_per_dim PAM amplitudes indexed by

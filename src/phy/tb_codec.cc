@@ -143,7 +143,6 @@ TbDecodeResult decode_tb(std::span<const std::complex<float>> iq,
       llrs[i] += (*prior_llrs)[i];
     }
   }
-  result.combined_llrs = llrs;
 
   // --- LDPC decode + CRC check.
   const auto decoded = code.decode_into(llrs, max_ldpc_iterations, ws->ldpc,
@@ -151,6 +150,7 @@ TbDecodeResult decode_tb(std::span<const std::complex<float>> iq,
   result.parity_ok = decoded.parity_ok;
   result.iterations_used = decoded.iterations_used;
   if (!decoded.parity_ok) {
+    result.combined_llrs = llrs;
     return result;
   }
   auto& info = ws->info;
@@ -173,6 +173,9 @@ TbDecodeResult decode_tb(std::span<const std::complex<float>> iq,
     body_ok = info[b] == 0;
   }
   result.crc_ok = body_ok && crc_rx == crc24a(shadow_payload);
+  if (!result.crc_ok) {
+    result.combined_llrs = llrs;
+  }
   return result;
 }
 

@@ -41,7 +41,10 @@ struct TbDecodeResult {
   bool parity_ok = false;
   double est_snr_db = 0.0;  // post-equalization estimate from pilots
   int iterations_used = 0;
-  std::vector<float> combined_llrs;  // post-combining channel LLRs
+  // Post-combining channel LLRs, the soft state a HARQ receiver keeps
+  // for a retransmission. Filled only when the LDPC decode ran and the
+  // CRC failed: a passing TB needs no soft state, so it is not copied.
+  std::vector<float> combined_llrs;
 };
 
 // Caller-owned scratch for decode_tb(): equalized symbols, LLRs, the
@@ -60,9 +63,10 @@ struct TbDecodeWorkspace {
 // (travelling losslessly alongside the codeword); CRC verification
 // checks the decoded info block against it. If `prior_llrs` is
 // non-null, its values are chase-combined with this transmission's LLRs
-// (HARQ). The combined LLRs are returned so the caller can store them
-// in its soft buffer. Passing a reusable `ws` removes the per-TB scratch
-// allocations (a thread-local workspace is used otherwise).
+// (HARQ). On a CRC failure the combined LLRs are returned so the caller
+// can store them in its soft buffer. Passing a reusable `ws` removes
+// the per-TB scratch allocations (a thread-local workspace is used
+// otherwise).
 [[nodiscard]] TbDecodeResult decode_tb(
     std::span<const std::complex<float>> iq, Modulation mod,
     std::span<const std::uint8_t> shadow_payload, int max_ldpc_iterations,

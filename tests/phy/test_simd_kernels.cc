@@ -12,7 +12,9 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -93,6 +95,293 @@ TEST(SimdKernels, CnMinsumMatchesScalarWhenAllMagnitudesTie) {
     expect_cn_minsum_parity(q, 0.8F);
   }
 }
+
+// ---- check-block kernels: the batched flooding decoder's phases ----
+
+std::vector<simd::Level> all_levels() {
+  auto levels = supported_vector_levels();
+  levels.insert(levels.begin(), simd::Level::kScalar);
+  return levels;
+}
+
+// Lane l holds a check of degree degs[l] (0 = a fully padded tail lane
+// past the code's last check); its column is padded with kBlockPad up
+// to the block's row count. Each real lane must equal scalar cn_minsum
+// over its own messages, at every level.
+void expect_block_matches_per_check(
+    const std::vector<std::vector<float>>& checks, float scale) {
+  constexpr auto kLanes = std::size_t(simd::kBlockLanes);
+  ASSERT_EQ(checks.size(), kLanes);
+  std::size_t rows = 0;
+  for (const auto& c : checks) {
+    rows = std::max(rows, c.size());
+  }
+  std::vector<float> q(rows * kLanes, simd::kBlockPad);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (std::size_t j = 0; j < checks[lane].size(); ++j) {
+      q[j * kLanes + lane] = checks[lane][j];
+    }
+  }
+  for (const auto level : all_levels()) {
+    std::vector<float> r(q.size(), -999.0F);
+    simd::kernels_for(level).cn_minsum_block(q.data(), r.data(), int(rows),
+                                             scale);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      const auto& c = checks[lane];
+      if (c.empty()) {
+        continue;  // a padded tail lane: its output is never read
+      }
+      std::vector<float> want(c.size());
+      simd::kernels_for(simd::Level::kScalar)
+          .cn_minsum(c.data(), want.data(), int(c.size()), scale);
+      std::vector<float> got(c.size());
+      for (std::size_t j = 0; j < c.size(); ++j) {
+        got[j] = r[j * kLanes + lane];
+      }
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), c.size() * sizeof(float)),
+                0)
+          << "level " << simd::level_name(level) << " lane " << lane
+          << " deg " << c.size() << " rows " << rows;
+    }
+  }
+}
+
+TEST(SimdKernels, CnMinsumBlockMatchesScalarCnMinsumPerLane) {
+  auto rng = RngRegistry{2025}.stream("cn-block");
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::vector<float>> checks(simd::kBlockLanes);
+    const int max_deg = 1 + int(rng.next_u64() % 20);
+    for (auto& c : checks) {
+      // Mostly full columns, some short ones, some padded tail lanes.
+      const auto pick = rng.next_u64() % 8;
+      const int deg = pick == 0 ? 0
+                      : pick == 1 ? 1 + int(rng.next_u64() % std::uint64_t(max_deg))
+                                  : max_deg;
+      c.resize(std::size_t(deg));
+      for (auto& v : c) {
+        switch (rng.next_u64() % 8) {
+          case 0: v = 0.0F; break;
+          case 1: v = -0.0F; break;
+          case 2: v = (rng.next_u64() & 1U) ? 1.25F : -1.25F; break;  // ties
+          case 3: v = float(rng.gaussian(0.0, 1e-4)); break;
+          case 4: v = float(rng.gaussian(0.0, 1e6)); break;
+          default: v = float(rng.gaussian(0.0, 5.0)); break;
+        }
+      }
+    }
+    expect_block_matches_per_check(checks, 0.8F);
+  }
+}
+
+TEST(SimdKernels, CnMinsumBlockMatchesScalarWhenAllMagnitudesTie) {
+  for (const int deg : {1, 2, 3, 6, 7, 8, 9, 17}) {
+    std::vector<std::vector<float>> checks(simd::kBlockLanes);
+    for (std::size_t lane = 0; lane < checks.size(); ++lane) {
+      // Lane 7 is a padded tail lane; lane 6 a shorter check.
+      const int lane_deg = lane == 7 ? 0 : lane == 6 ? (deg + 1) / 2 : deg;
+      for (int i = 0; i < lane_deg; ++i) {
+        checks[lane].push_back(((i + int(lane)) % 2 != 0) ? -2.5F : 2.5F);
+      }
+    }
+    expect_block_matches_per_check(checks, 0.8F);
+  }
+}
+
+// A random vn_update slot table: n variables of weight w over a
+// shuffled message space of n * w slots.
+std::vector<std::int32_t> random_slots(int n, int w, RngStream& rng) {
+  std::vector<std::int32_t> perm(std::size_t(n * w));
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    perm[i] = std::int32_t(i);
+  }
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.next_u64() % i]);
+  }
+  std::vector<std::int32_t> slots(
+      std::size_t((n + simd::kBlockLanes - 1) / simd::kBlockLanes * w *
+                  simd::kBlockLanes),
+      0);
+  for (int v = 0; v < n; ++v) {
+    for (int i = 0; i < w; ++i) {
+      slots[simd::vn_slot(v, i, w)] = perm[std::size_t(v * w + i)];
+    }
+  }
+  return slots;
+}
+
+TEST(SimdKernels, VnUpdateSumsInEdgeOrderAtEveryTailLength) {
+  auto rng = RngRegistry{2026}.stream("vn");
+  for (const int w : {2, 3, 4, 5}) {
+    for (int n = 1; n <= 33; ++n) {
+      const auto slots = random_slots(n, w, rng);
+      std::vector<float> llr(static_cast<std::size_t>(n));
+      std::vector<float> c2v(std::size_t(n * w));
+      for (auto& v : llr) {
+        v = float(rng.gaussian(0.0, 8.0));
+      }
+      for (auto& v : c2v) {
+        // Wide dynamic range: a reordered sum would round differently.
+        v = float(rng.gaussian(0.0, 1.0) *
+                  std::pow(10.0, double(rng.next_u64() % 7) - 3.0));
+      }
+      // The contract, spelled out.
+      std::vector<float> want_v2c(c2v.size());
+      std::vector<float> want_total(llr.size());
+      for (int v = 0; v < n; ++v) {
+        float sum = llr[std::size_t(v)];
+        for (int i = 0; i < w; ++i) {
+          sum += c2v[std::size_t(slots[simd::vn_slot(v, i, w)])];
+        }
+        want_total[std::size_t(v)] = sum;
+        for (int i = 0; i < w; ++i) {
+          const auto s = std::size_t(slots[simd::vn_slot(v, i, w)]);
+          want_v2c[s] = sum - c2v[s];
+        }
+      }
+      for (const auto level : all_levels()) {
+        std::vector<float> v2c(c2v.size(), -999.0F);
+        std::vector<float> total(llr.size(), -999.0F);
+        simd::kernels_for(level).vn_update(llr.data(), n, w, slots.data(),
+                                           c2v.data(), v2c.data(),
+                                           total.data());
+        EXPECT_EQ(std::memcmp(want_v2c.data(), v2c.data(),
+                              v2c.size() * sizeof(float)),
+                  0)
+            << "level " << simd::level_name(level) << " n " << n << " w " << w;
+        EXPECT_EQ(std::memcmp(want_total.data(), total.data(),
+                              total.size() * sizeof(float)),
+                  0)
+            << "level " << simd::level_name(level) << " n " << n << " w " << w;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, BlockParityMatchesPerLaneSignParity) {
+  auto rng = RngRegistry{2027}.stream("parity");
+  constexpr int kVars = 40;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<float> total(kVars + 1);
+    for (auto& t : total) {
+      switch (rng.next_u64() % 4) {
+        case 0: t = 0.0F; break;
+        case 1: t = -0.0F; break;  // not negative: decides bit 0
+        default: t = float(rng.gaussian(0.0, 3.0)); break;
+      }
+    }
+    total[kVars] = simd::kBlockPad;  // the pad entry
+    const int deg = 1 + int(rng.next_u64() % 12);
+    std::vector<std::int32_t> vars(std::size_t(deg * simd::kBlockLanes));
+    for (auto& v : vars) {
+      v = std::int32_t(rng.next_u64() % (kVars + 1));
+    }
+    bool want = true;
+    for (int lane = 0; lane < simd::kBlockLanes; ++lane) {
+      unsigned parity = 0;
+      for (int j = 0; j < deg; ++j) {
+        parity ^= total[std::size_t(vars[std::size_t(
+                      j * simd::kBlockLanes + lane)])] < 0.0F
+                      ? 1U
+                      : 0U;
+      }
+      want = want && parity == 0;
+    }
+    for (const auto level : all_levels()) {
+      EXPECT_EQ(simd::kernels_for(level).block_parity_ok(total.data(),
+                                                         vars.data(), deg),
+                want)
+          << "level " << simd::level_name(level) << " trial " << trial;
+    }
+  }
+}
+
+#if defined(__x86_64__)
+// XINUSE (xgetbv with ecx = 1) bit 2 is clear iff the upper halves of
+// the YMM registers are in their initial (zero) state.
+bool upper_ymm_dirty() {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 4U) != 0;
+}
+
+bool xinuse_supported() {
+  std::uint32_t a = 0xD;
+  std::uint32_t b = 0;
+  std::uint32_t c = 1;
+  std::uint32_t d = 0;
+  asm volatile("cpuid" : "+a"(a), "=b"(b), "+c"(c), "=d"(d));
+  return (a & 4U) != 0;
+}
+
+// Every AVX2 kernel must return with the upper YMM state clean.
+// Otherwise each legacy-SSE instruction the (baseline-compiled) rest of
+// the program runs afterwards pays for a merge with the dirty upper
+// halves: a compiler that drops a vzeroupper shows up as a slowdown
+// far from the kernel, in code that never touches AVX.
+TEST(SimdKernels, Avx2KernelsReturnWithUpperYmmStateClean) {
+  if (!simd::level_supported(simd::Level::kAvx2) || !xinuse_supported()) {
+    GTEST_SKIP() << "needs AVX2 and xgetbv(1)";
+  }
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  // Instrumented kernels call into the sanitizer runtime mid-kernel,
+  // where the compiler leaves the upper state dirty.
+  GTEST_SKIP() << "not meaningful under sanitizer instrumentation";
+#endif
+  const auto& k = simd::kernels_for(simd::Level::kAvx2);
+  auto rng = RngRegistry{2028}.stream("upper");
+  // Sizes that leave a remainder past the last full vector, so every
+  // kernel's scalar tail runs too.
+  constexpr int kN = 27;
+  constexpr int kW = 3;
+  const auto slots = random_slots(kN, kW, rng);
+  std::vector<float> x(std::size_t(kN * kW), -0.25F);
+  std::vector<float> y(x.size(), 1.5F);
+  std::vector<float> v2c(x.size());
+  std::vector<float> total(kN + 1, 0.5F);
+  std::vector<std::int32_t> vars(std::size_t(6 * simd::kBlockLanes), 3);
+  std::vector<std::int32_t> ints(x.size(), 5);
+  std::vector<std::int64_t> deadlines(x.size(), 7);
+  std::vector<std::uint32_t> hits(x.size());
+  std::vector<std::uint8_t> bytes(x.size() * 2);
+  const std::vector<std::complex<float>> syms(kN, {0.3F, -0.7F});
+  const float levels[2] = {-1.0F, 1.0F};
+  const std::pair<const char*, std::function<void()>> calls[] = {
+      {"cn_minsum", [&] { k.cn_minsum(x.data(), y.data(), 11, 0.8F); }},
+      {"cn_minsum_block",
+       [&] { k.cn_minsum_block(x.data(), y.data(), 6, 0.8F); }},
+      {"vn_update",
+       [&] {
+         k.vn_update(y.data(), kN, kW, slots.data(), x.data(), v2c.data(),
+                     total.data());
+       }},
+      {"block_parity_ok",
+       [&] { (void)k.block_parity_ok(total.data(), vars.data(), 6); }},
+      {"demap_soft",
+       [&] { k.demap_soft(syms.data(), syms.size(), levels, 1, 0.1, y.data()); }},
+      {"deadline_scan",
+       [&] {
+         (void)k.deadline_scan(deadlines.data(), deadlines.size(), 9,
+                               hits.data());
+       }},
+      {"ar1_update",
+       [&] { k.ar1_update(y.data(), kN, 0.5F, 0.9F, x.data()); }},
+      {"peak_abs", [&] { (void)k.peak_abs(x.data(), x.size()); }},
+      {"bfp_quantize",
+       [&] { k.bfp_quantize(x.data(), x.size(), 0.25, 255, ints.data()); }},
+      {"bfp_dequantize",
+       [&] { k.bfp_dequantize(ints.data(), ints.size(), 0.5F, y.data()); }},
+      {"bfp_pack",
+       [&] { (void)k.bfp_pack(ints.data(), ints.size(), 16, bytes.data()); }},
+      {"bfp_unpack",
+       [&] { k.bfp_unpack(bytes.data(), ints.size(), 16, ints.data()); }},
+  };
+  for (const auto& [name, call] : calls) {
+    call();
+    EXPECT_FALSE(upper_ymm_dirty()) << name;
+  }
+}
+#endif
 
 // Recover the Modulator's PAM level table by modulating each bit
 // pattern (duplicated into both dimensions) and reading the I value —
