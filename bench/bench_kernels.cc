@@ -67,8 +67,7 @@ void BM_LdpcDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_LdpcDecode)->Arg(2)->Arg(8)->Arg(16)->Arg(32);
 
-// Shared noisy-channel LLR generator for the schedule/workspace
-// comparisons below.
+// Shared noisy-channel LLR generator for the decode benchmarks below.
 std::vector<float> noisy_llrs(const LdpcCode& code, std::uint64_t seed) {
   const auto cw = code.encode(random_bits(code.k(), seed));
   auto rng = RngRegistry{seed + 1}.stream("noise");
@@ -81,34 +80,24 @@ std::vector<float> noisy_llrs(const LdpcCode& code, std::uint64_t seed) {
   return llrs;
 }
 
-// Batched flooding vs layered, per decode, at the iteration budgets the
-// PHY uses (1, 4 and the default 8). Layered usually early-exits in
-// fewer iterations; flooding's check-block kernel makes each of its
-// iterations cheaper. The `iters_used` counter shows how many ran.
+// Batched flooding per decode at the iteration budgets the PHY uses
+// (1, 4 and the default 8). The `iters_used` counter shows how many ran
+// before the early exit.
 void BM_LdpcDecodeSchedule(benchmark::State& state) {
   const auto& code = LdpcCode::standard();
   const auto llrs = noisy_llrs(code, 12);
-  const auto schedule = LdpcSchedule(state.range(0));
-  const int iters = int(state.range(1));
+  const int iters = int(state.range(0));
   LdpcCode::DecodeWorkspace ws;
   int iters_used = 0;
   for (auto _ : state) {
-    const auto status = code.decode_into(llrs, iters, ws, schedule);
+    const auto status = code.decode_into(llrs, iters, ws);
     iters_used = status.iterations_used;
     benchmark::DoNotOptimize(status);
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["iters_used"] = iters_used;
-  state.SetLabel(schedule == LdpcSchedule::kFlooding ? "flooding" : "layered");
 }
-BENCHMARK(BM_LdpcDecodeSchedule)
-    ->ArgNames({"schedule", "iters"})
-    ->Args({int(LdpcSchedule::kFlooding), 1})
-    ->Args({int(LdpcSchedule::kLayered), 1})
-    ->Args({int(LdpcSchedule::kFlooding), 4})
-    ->Args({int(LdpcSchedule::kLayered), 4})
-    ->Args({int(LdpcSchedule::kFlooding), 8})
-    ->Args({int(LdpcSchedule::kLayered), 8});
+BENCHMARK(BM_LdpcDecodeSchedule)->ArgNames({"iters"})->Arg(1)->Arg(4)->Arg(8);
 
 // Workspace reuse vs the allocating wrapper: the same algorithm, with
 // and without per-decode heap traffic.
@@ -213,39 +202,9 @@ const char* simd_arg_name(std::int64_t level) {
   return simd::level_name(simd::Level(level));
 }
 
-// One flooding check-node sweep over a standard-code-sized message
-// slab: 324 checks, degree ~6, contiguous edges.
-void BM_SimdCnMinsum(benchmark::State& state) {
-  const auto& kernels = simd::kernels_for(simd::Level(state.range(0)));
-  const auto& code = LdpcCode::standard();
-  auto rng = RngRegistry{41}.stream("cn");
-  std::vector<float> q(std::size_t(code.num_edges()));
-  std::vector<float> r(q.size());
-  for (auto& v : q) {
-    v = float(rng.gaussian(0.0, 4.0));
-  }
-  // Mirror the decoder's per-check slab walk (degree from the code's
-  // average; the kernel handles any remainder at the slab end).
-  const int deg = code.num_edges() / code.num_checks();
-  for (auto _ : state) {
-    for (int base = 0; base + deg <= code.num_edges(); base += deg) {
-      kernels.cn_minsum(&q[std::size_t(base)], &r[std::size_t(base)], deg,
-                        0.8F);
-    }
-    benchmark::DoNotOptimize(r.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          std::int64_t(code.num_edges() / deg));
-  state.SetLabel(simd_arg_name(state.range(0)));
-}
-BENCHMARK(BM_SimdCnMinsum)
-    ->ArgNames({"level"})
-    ->Arg(int(simd::Level::kScalar))
-    ->Arg(int(simd::Level::kSse2))
-    ->Arg(int(simd::Level::kAvx2));
-
-// The same sweep as the batched flooding decoder runs it: the checks in
-// blocks of kBlockLanes, one cn_minsum_block call per block.
+// One flooding check-node sweep as the batched decoder runs it over a
+// standard-code-sized message slab: 324 checks of degree ~6 in blocks
+// of kBlockLanes, one cn_minsum_block call per block.
 void BM_SimdCnMinsumBlock(benchmark::State& state) {
   const auto& kernels = simd::kernels_for(simd::Level(state.range(0)));
   const auto& code = LdpcCode::standard();
@@ -490,46 +449,12 @@ bool check(bool ok, const char* what) {
   return ok;
 }
 
-bool verify_cn_minsum_parity() {
-  auto rng = RngRegistry{1234}.stream("parity");
-  bool ok = true;
-  for (int trial = 0; trial < 2000; ++trial) {
-    const int deg = 1 + int(rng.next_u64() % 19);
-    std::vector<float> q(static_cast<std::size_t>(deg));
-    for (auto& v : q) {
-      switch (rng.next_u64() % 8) {
-        case 0: v = 0.0F; break;          // exact zero
-        case 1: v = -0.0F; break;         // negative zero
-        case 2:                            // force magnitude ties
-          v = (rng.next_u64() & 1U) ? 1.25F : -1.25F;
-          break;
-        default: v = float(rng.gaussian(0.0, 5.0)); break;
-      }
-    }
-    std::vector<float> want(q.size());
-    simd::kernels_for(simd::Level::kScalar)
-        .cn_minsum(q.data(), want.data(), deg, 0.8F);
-    for (const auto level : {simd::Level::kSse2, simd::Level::kAvx2}) {
-      if (!simd::level_supported(level)) {
-        continue;
-      }
-      std::vector<float> got(q.size(), -999.0F);
-      simd::kernels_for(level).cn_minsum(q.data(), got.data(), deg, 0.8F);
-      ok &= check(std::memcmp(want.data(), got.data(),
-                              want.size() * sizeof(float)) == 0,
-                  "cn_minsum bitwise mismatch vs scalar");
-    }
-  }
-  return ok;
-}
-
 // Check blocks of random per-lane degrees (0 = padded tail lane), ties
 // and signed zeros: every lane of cn_minsum_block, at every level, must
 // equal scalar cn_minsum over that lane's messages.
 bool verify_cn_minsum_block_parity() {
   constexpr auto kLanes = std::size_t(simd::kBlockLanes);
   auto rng = RngRegistry{1235}.stream("parity");
-  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
   bool ok = true;
   for (int trial = 0; trial < 500; ++trial) {
     const auto rows = std::size_t(1 + rng.next_u64() % 19);
@@ -566,7 +491,7 @@ bool verify_cn_minsum_block_parity() {
           col[j] = q[j * kLanes + lane];
           got[j] = r[j * kLanes + lane];
         }
-        scalar.cn_minsum(col.data(), want.data(), int(col.size()), 0.8F);
+        simd::cn_minsum(col.data(), want.data(), int(col.size()), 0.8F);
         ok &= check(std::memcmp(want.data(), got.data(),
                                 want.size() * sizeof(float)) == 0,
                     "cn_minsum_block lane mismatch vs scalar cn_minsum");
@@ -747,9 +672,9 @@ bool verify_vn_update_parity() {
 }
 
 bool verify_kernel_parity() {
-  const bool ok = verify_cn_minsum_parity() & verify_cn_minsum_block_parity() &
-                  verify_vn_update_parity() & verify_demap_parity() &
-                  verify_crc_parity() & verify_bfp_parity();
+  const bool ok = verify_cn_minsum_block_parity() & verify_vn_update_parity() &
+                  verify_demap_parity() & verify_crc_parity() &
+                  verify_bfp_parity();
   std::printf("kernel parity gate: %s (active simd level: %s)\n",
               ok ? "PASS" : "FAIL",
               simd::level_name(simd::active_level()));

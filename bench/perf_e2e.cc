@@ -24,11 +24,7 @@
 // BENCH_obs.json (`--obs-json` overrides the path), and self-validates
 // the emitted schema — span balance, non-negative latencies, required
 // keys — exiting nonzero on violation so CI catches telemetry rot.
-// `perf_e2e --threads N` attaches an N-wide deterministic fork-join
-// pool to the simulator (parallel TB decode, common/threadpool.h). The
-// event stream is bit-identical at every N — only wall-clock moves —
-// and every JSON row is annotated with the thread count and active
-// SIMD level so the bench trajectory separates the two effects.
+// Every JSON row is annotated with the active SIMD level.
 //
 // `perf_e2e --shards N` switches to the sharded multi-cell scenario
 // instead: a 16-cell fleet (8 in --short) of independent cell islands
@@ -48,7 +44,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/threadpool.h"
 #include "obs/obs.h"
 #include "phy/simd.h"
 #include "testbed/sharded_testbed.h"
@@ -86,7 +81,6 @@ std::int64_t total_decodes(Testbed& tb, int num_ues) {
 // Fig 10-style: heavy bidirectional UDP with a fail-stop primary crash
 // partway through.
 PerfResult run_fig10(Nanos horizon, Nanos event_time, int bulk_ues,
-                     ThreadPool* pool = nullptr,
                      obs::Observability* o = nullptr) {
   TestbedConfig cfg;
   cfg.seed = 10;
@@ -94,7 +88,6 @@ PerfResult run_fig10(Nanos horizon, Nanos event_time, int bulk_ues,
   cfg.ue_mean_snr_db = {21.0};
   cfg.bulk_ues = bulk_ues;
   Testbed tb{cfg};
-  tb.sim().set_thread_pool(pool);
   if (o != nullptr) {
     tb.attach_observability(*o);
   }
@@ -261,8 +254,7 @@ bool report_obs(obs::Observability& o, double traced_wall_s,
 
 // Table 2-style: uplink UDP near the decoding threshold while planned
 // migrations bounce the PHY at 20/s.
-PerfResult run_tab02(Nanos measure, int bulk_ues,
-                     ThreadPool* pool = nullptr) {
+PerfResult run_tab02(Nanos measure, int bulk_ues) {
   TestbedConfig cfg;
   cfg.seed = 21;
   cfg.num_ues = 1;
@@ -270,7 +262,6 @@ PerfResult run_tab02(Nanos measure, int bulk_ues,
   cfg.phy.ldpc_max_iters = 4;
   cfg.bulk_ues = bulk_ues;
   Testbed tb{cfg};
-  tb.sim().set_thread_pool(pool);
 
   UdpFlowConfig flow_cfg;
   flow_cfg.rate_bps = 8e6;
@@ -420,8 +411,8 @@ bool run_shard_mode(bool short_mode, int shards,
   return deterministic;
 }
 
-void report(const char* scenario, const PerfResult& r, int threads,
-            int bulk_ues, const std::string& json_path) {
+void report(const char* scenario, const PerfResult& r, int bulk_ues,
+            const std::string& json_path) {
   using namespace slingshot::bench;
   std::printf("\n%s:\n", scenario);
   std::printf("  wall-clock       %8.2f s\n", r.wall_s);
@@ -437,7 +428,6 @@ void report(const char* scenario, const PerfResult& r, int threads,
 
   JsonRow row{"perf_e2e"};
   row.str("scenario", scenario)
-      .integer("threads", threads)
       .str("simd", simd::level_name(simd::active_level()))
       .num("wall_s", r.wall_s)
       .num("sim_s", r.sim_s)
@@ -464,7 +454,6 @@ int main(int argc, char** argv) {
   using namespace slingshot::bench;
   bool short_mode = false;
   bool trace_mode = false;
-  int threads = 1;
   int shards = 0;     // 0 = classic single-testbed scenarios
   int bulk_ues = 0;   // --ues N: batched UEs riding each scenario cell
   double min_events_per_s = 0.0;  // --min-events-per-s: CI sanity floor
@@ -475,11 +464,6 @@ int main(int argc, char** argv) {
       short_mode = true;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_mode = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        threads = 1;
-      }
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = std::atoi(argv[++i]);
       if (shards < 1) {
@@ -514,35 +498,29 @@ int main(int argc, char** argv) {
                                ? "wall-clock perf harness (short smoke mode)"
                                : "wall-clock perf harness");
   print_note(("rows appended to " + json_path).c_str());
-  std::printf("threads: %d   simd: %s   bulk ues: %d\n", threads,
+  std::printf("simd: %s   bulk ues: %d\n",
               simd::level_name(simd::active_level()), bulk_ues);
-
-  // One pool shared by every scenario run; null at --threads 1 so the
-  // single-thread rows measure the strictly serial simulator.
-  ThreadPool pool{threads};
-  ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
 
   const Nanos fig10_horizon = short_mode ? 1'500_ms : 10'000_ms;
   const Nanos fig10_event = short_mode ? 500_ms : 2'000_ms;
-  const auto fig10 = run_fig10(fig10_horizon, fig10_event, bulk_ues, pool_ptr);
+  const auto fig10 = run_fig10(fig10_horizon, fig10_event, bulk_ues);
   report(short_mode ? "fig10_failover_short" : "fig10_failover", fig10,
-         threads, bulk_ues, json_path);
+         bulk_ues, json_path);
 
   bool obs_ok = true;
   if (trace_mode) {
     // Same scenario, tracer attached; the untraced run above is the
     // overhead baseline.
     obs::Observability o{fig10_obs_config(bulk_ues)};
-    const auto traced =
-        run_fig10(fig10_horizon, fig10_event, bulk_ues, pool_ptr, &o);
+    const auto traced = run_fig10(fig10_horizon, fig10_event, bulk_ues, &o);
     obs_ok = report_obs(o, traced.wall_s, fig10.wall_s, obs_json_path,
                         short_mode ? "fig10_failover_short" : "fig10_failover");
   }
 
-  const auto tab02 = short_mode ? run_tab02(2'000_ms, bulk_ues, pool_ptr)
-                                : run_tab02(6'000_ms, bulk_ues, pool_ptr);
+  const auto tab02 = short_mode ? run_tab02(2'000_ms, bulk_ues)
+                                : run_tab02(6'000_ms, bulk_ues);
   report(short_mode ? "tab02_migration_short" : "tab02_migration", tab02,
-         threads, bulk_ues, json_path);
+         bulk_ues, json_path);
 
   // --min-events-per-s: a deliberately loose CI floor. It does not try
   // to detect small regressions (wall-clock noise and sanitizer presets

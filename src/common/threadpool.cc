@@ -46,9 +46,17 @@ void ThreadPool::worker_loop(int worker_id) {
       return;
     }
     seen_epoch = epoch_;
-    // Checked in: the forking thread will not retire or replace the job
-    // state until this worker checks out below, so run_tasks() reads
-    // job_fn_/job_ctx_/job_n_ race-free outside the lock.
+    if (pending_ == 0) {
+      // Woken too late: every task of this fork is accounted for, so the
+      // fork may already have joined and the caller may be publishing
+      // the next one. Checking in now would claim the next fork's
+      // indices against this fork's job state.
+      continue;
+    }
+    // Checked in while the fork is open: the forking thread will not
+    // retire or replace the job state until this worker checks out
+    // below, so run_tasks() reads job_fn_/job_ctx_/job_n_ race-free
+    // outside the lock.
     ++active_;
     lock.unlock();
     const std::size_t done = run_tasks(worker_id);

@@ -1,14 +1,12 @@
 // Deterministic fork-join worker pool.
 //
-// The simulator core stays single-threaded: events execute one at a
-// time in (time, seq) order. What the pool adds is *intra-event* data
-// parallelism — a component servicing an event (e.g. the PHY decoding a
-// slot's transport blocks) can fan a fixed, pre-built task list out
-// across workers and join before returning to the event loop. Nothing
-// escapes the fork-join region: no task schedules events, touches
-// shared mutable state, or outlives the join, so the event loop — and
-// with it the golden-trace (time, seq) hash — is bit-identical at every
-// thread count.
+// Each Simulator stays single-threaded: events execute one at a time in
+// (time, seq) order. The sharded runtime (sim/sharded.h) uses the pool
+// to advance its cell islands, each with its own Simulator, through one
+// TTI window in parallel, and joins before draining the mailbox.
+// Nothing escapes the fork-join region: no task touches another task's
+// state or outlives the join, so every island's (time, seq) trace hash
+// is bit-identical at every thread count.
 //
 // Determinism contract (what callers must uphold, and what
 // parallel_for guarantees):

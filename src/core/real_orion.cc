@@ -58,8 +58,8 @@ void RealOrionRelay::record(EpisodeEventKind kind, PhyId phy) {
 
 void RealOrionRelay::poll_once(int timeout_ms) {
   std::uint16_t from_port = 0;
-  const int n = endpoint_->recv(rx_scratch_, timeout_ms, &from_port);
-  if (n > 0) {
+  for (int n = endpoint_->recv(rx_scratch_, timeout_ms, &from_port); n > 0;
+       n = endpoint_->recv(rx_scratch_, 0, &from_port)) {
     handle_datagram(from_port, rx_scratch_);
   }
   drain_rings();
@@ -109,6 +109,10 @@ void RealOrionRelay::handle_l2_request(FapiMessage&& msg) {
     case FapiMsgType::kUlTtiRequest: {
       send_fapi(active_port, msg);
       ++stats_.requests_forwarded;
+      // Every UL_TTI, null or not, gets an indication back.
+      if (unanswered_since_ns_ < 0) {
+        unanswered_since_ns_ = WallclockPacer::now_ns();
+      }
       if (!failed_over_) {
         send_fapi(standby_port, make_null_ul_tti(msg.ru, msg.slot));
         ++stats_.nulls_sent;
@@ -138,8 +142,7 @@ void RealOrionRelay::handle_l2_request(FapiMessage&& msg) {
 void RealOrionRelay::handle_phy_indication(std::size_t phy_index,
                                            FapiMessage&& msg) {
   if (phy_index == config_.active) {
-    active_heard_ = true;
-    last_active_heard_ns_ = WallclockPacer::now_ns();
+    heard_active();
     send_fapi(config_.l2_port, msg);
     ++stats_.indications_forwarded;
     return;
@@ -161,8 +164,7 @@ void RealOrionRelay::drain_rings() {
   for (std::size_t i = 0; i < phy_to_orion_.size(); ++i) {
     while (phy_to_orion_[i].pop(record)) {
       if (i == config_.active) {
-        active_heard_ = true;
-        last_active_heard_ns_ = WallclockPacer::now_ns();
+        heard_active();
         orion_to_l2_.push(record);
         ++stats_.ring_records_relayed;
       } else {
@@ -172,8 +174,14 @@ void RealOrionRelay::drain_rings() {
   }
 }
 
+void RealOrionRelay::heard_active() {
+  active_heard_ = true;
+  last_active_heard_ns_ = WallclockPacer::now_ns();
+  unanswered_since_ns_ = -1;
+}
+
 void RealOrionRelay::check_detector() {
-  if (failed_over_ || !active_heard_) {
+  if (failed_over_ || !active_heard_ || unanswered_since_ns_ < 0) {
     return;
   }
   // Lifecycle chatter during the pre-epoch launch lead must not arm the
@@ -187,7 +195,7 @@ void RealOrionRelay::check_detector() {
   if (now > config_.detect_deadline_ns) {
     return;
   }
-  const std::int64_t silent_ns = now - last_active_heard_ns_;
+  const std::int64_t silent_ns = now - unanswered_since_ns_;
   if (silent_ns < config_.detect_timeout_ns) {
     return;
   }

@@ -18,9 +18,11 @@
 //     indications (slot indications for nulls) are absorbed.
 //
 // Failure detection is *wall-clock socket silence*: once the active PHY
-// has spoken, not hearing from it (socket or ring) for longer than
-// `detect_timeout_ns` while L2 traffic keeps flowing declares it dead —
-// the real-mode stand-in for the paper's in-switch detector. The relay
+// has spoken, leaving a forwarded UL_TTI unanswered (no word on socket
+// or ring) for longer than `detect_timeout_ns` declares it dead — the
+// real-mode stand-in for the paper's in-switch detector. Silence counts
+// only while the L2 keeps asking, so a stall of the whole process (L2
+// included) cannot read as one PHY's death. The relay
 // then swaps the pair and records an episode ledger (kDetected →
 // kFailoverInitiated → kSwapFinalized) whose (kind, ru, phy) sequence
 // must match the simulator's ledger for the same scripted fault plan;
@@ -93,9 +95,11 @@ class RealOrionRelay {
                  std::vector<ShmRing> orion_to_phy,
                  std::vector<ShmRing> phy_to_orion);
 
-  // One scheduling quantum: receive at most one datagram (waiting up to
-  // timeout_ms), drain every ring, then run the silence detector. The
-  // role loop calls this until the run ends.
+  // One scheduling quantum: receive every queued datagram (waiting up
+  // to timeout_ms for the first), drain every ring, then run the
+  // silence detector, so an answer queued behind other datagrams is
+  // seen before silence is judged. The role loop calls this until the
+  // run ends.
   void poll_once(int timeout_ms);
 
   [[nodiscard]] PhyId active_phy() const {
@@ -113,6 +117,7 @@ class RealOrionRelay {
   void handle_phy_indication(std::size_t phy_index, FapiMessage&& msg);
   void drain_rings();
   void check_detector();
+  void heard_active();
   void send_fapi(std::uint16_t port, const FapiMessage& msg);
   [[nodiscard]] std::size_t phy_index_for_port(std::uint16_t port) const;
   void record(EpisodeEventKind kind, PhyId phy);
@@ -128,9 +133,11 @@ class RealOrionRelay {
   RealOrionStats stats_;
   std::vector<EpisodeEvent> ledger_;
   // Detector state: the active PHY is armed once it has produced any
-  // traffic, and silence is measured from the last time it spoke.
+  // traffic, and silence is measured from the oldest UL_TTI forwarded to
+  // it since it last spoke (-1: none outstanding).
   bool active_heard_ = false;
   std::int64_t last_active_heard_ns_ = 0;
+  std::int64_t unanswered_since_ns_ = -1;
   bool failed_over_ = false;  // fixed pair: at most one failover
   std::vector<std::uint8_t> rx_scratch_;
   std::vector<std::uint8_t> wire_scratch_;

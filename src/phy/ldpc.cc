@@ -11,24 +11,6 @@
 namespace slingshot {
 namespace {
 constexpr float kMinSumScale = 0.8F;  // normalized min-sum correction
-
-// Flip `v`'s hard decision: toggle the syndrome bit of every adjacent
-// check and keep the unsatisfied-check count current. This is how the
-// layered schedule folds parity tracking into its update pass — no
-// full check_parity walk per iteration.
-inline void flip_bit(int v, const std::vector<int>& var_edge_offset,
-                     const std::vector<int>& var_edges,
-                     const std::vector<int>& edge_check,
-                     std::vector<std::uint8_t>& syndrome, int& unsatisfied) {
-  const int begin = var_edge_offset[std::size_t(v)];
-  const int end = var_edge_offset[std::size_t(v) + 1];
-  for (int i = begin; i < end; ++i) {
-    const int c = edge_check[std::size_t(var_edges[std::size_t(i)])];
-    syndrome[std::size_t(c)] ^= 1U;
-    unsatisfied += syndrome[std::size_t(c)] ? 1 : -1;
-  }
-}
-
 }  // namespace
 
 LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
@@ -86,24 +68,23 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
 
   // Flatten the Tanner graph into SoA edge arrays: edges numbered by
   // (check, position), plus per-variable edge-id lists and the reverse
-  // edge->check map used by the fused parity tracking.
+  // edge->check map the check-block layout below is built from.
   check_edge_offset_.assign(std::size_t(m) + 1, 0);
   for (int c = 0; c < m; ++c) {
-    const int deg = int(check_vars[std::size_t(c)].size());
     check_edge_offset_[std::size_t(c) + 1] =
-        check_edge_offset_[std::size_t(c)] + deg;
-    max_check_degree_ = std::max(max_check_degree_, deg);
+        check_edge_offset_[std::size_t(c)] +
+        int(check_vars[std::size_t(c)].size());
   }
   num_edges_ = check_edge_offset_[std::size_t(m)];
   edge_var_.resize(std::size_t(num_edges_));
-  edge_check_.resize(std::size_t(num_edges_));
+  std::vector<int> edge_check(static_cast<std::size_t>(num_edges_));
   std::vector<int> var_degree(std::size_t(n), 0);
   for (int c = 0; c < m; ++c) {
     const auto& vars = check_vars[std::size_t(c)];
     const int base = check_edge_offset_[std::size_t(c)];
     for (std::size_t j = 0; j < vars.size(); ++j) {
       edge_var_[std::size_t(base) + j] = vars[j];
-      edge_check_[std::size_t(base) + j] = c;
+      edge_check[std::size_t(base) + j] = c;
       ++var_degree[std::size_t(vars[j])];
     }
   }
@@ -144,7 +125,7 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
     for (int i = 0; i < wc; ++i) {
       const int e =
           var_edges_[std::size_t(var_edge_offset_[std::size_t(v)] + i)];
-      const int c = edge_check_[std::size_t(e)];
+      const int c = edge_check[std::size_t(e)];
       const int slot = block_slot_[std::size_t(c / kLanes)] +
                        (e - check_edge_offset_[std::size_t(c)]);
       const int msg = slot * kLanes + c % kLanes;
@@ -274,132 +255,69 @@ bool LdpcCode::check_parity(std::span<const std::uint8_t> cw) const {
 
 LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
                                              int max_iterations,
-                                             DecodeWorkspace& ws,
-                                             LdpcSchedule schedule) const {
+                                             DecodeWorkspace& ws) const {
   // SIMD-dispatched kernels; bit-exact against the scalar reference at
   // every level (see phy/simd.h), so decode outcomes — and the golden
   // trace that pins them — don't depend on the CPU.
-  return decode_into(llr, max_iterations, ws, schedule, simd::kernels());
+  return decode_into(llr, max_iterations, ws, simd::kernels());
 }
 
 LdpcCode::DecodeStatus LdpcCode::decode_into(
     std::span<const float> llr, int max_iterations, DecodeWorkspace& ws,
-    LdpcSchedule schedule, const simd::Kernels& kernels) const {
+    const simd::Kernels& kernels) const {
   if (int(llr.size()) != n_) {
     throw std::invalid_argument{"LdpcCode::decode: wrong LLR length"};
   }
   ws.codeword.assign(std::size_t(n_), 0);
 
-  DecodeStatus status;
-  if (schedule == LdpcSchedule::kFlooding) {
-    // Check-block batched flooding. posterior[n] is the pad entry that
-    // msg_var_ names for padding messages: it seeds them with the
-    // neutral kBlockPad, which vn_update (writing real edges' slots
-    // only) never overwrites, and as a positive total it is parity
-    // neutral too.
-    constexpr int kLanes = simd::kBlockLanes;
-    const std::size_t num_msgs = msg_var_.size();
-    ws.posterior.resize(std::size_t(n_) + 1);
-    std::copy(llr.begin(), llr.end(), ws.posterior.begin());
-    ws.posterior[std::size_t(n_)] = simd::kBlockPad;
-    ws.var_to_check.resize(num_msgs);
-    ws.check_to_var.resize(num_msgs);
-    for (std::size_t s = 0; s < num_msgs; ++s) {
-      ws.var_to_check[s] = ws.posterior[std::size_t(msg_var_[s])];
-    }
+  // Check-block batched flooding. posterior[n] is the pad entry that
+  // msg_var_ names for padding messages: it seeds them with the neutral
+  // kBlockPad, which vn_update (writing real edges' slots only) never
+  // overwrites, and as a positive total it is parity neutral too.
+  constexpr int kLanes = simd::kBlockLanes;
+  const std::size_t num_msgs = msg_var_.size();
+  ws.posterior.resize(std::size_t(n_) + 1);
+  std::copy(llr.begin(), llr.end(), ws.posterior.begin());
+  ws.posterior[std::size_t(n_)] = simd::kBlockPad;
+  ws.var_to_check.resize(num_msgs);
+  ws.check_to_var.resize(num_msgs);
+  for (std::size_t s = 0; s < num_msgs; ++s) {
+    ws.var_to_check[s] = ws.posterior[std::size_t(msg_var_[s])];
+  }
 
-    const auto all_checks_met = [&] {
-      for (std::size_t b = 0; b + 1 < block_slot_.size(); ++b) {
-        if (!kernels.block_parity_ok(
-                ws.posterior.data(),
-                &msg_var_[std::size_t(block_slot_[b]) * kLanes],
-                block_slot_[b + 1] - block_slot_[b])) {
-          return false;
-        }
+  const auto all_checks_met = [&] {
+    for (std::size_t b = 0; b + 1 < block_slot_.size(); ++b) {
+      if (!kernels.block_parity_ok(
+              ws.posterior.data(),
+              &msg_var_[std::size_t(block_slot_[b]) * kLanes],
+              block_slot_[b + 1] - block_slot_[b])) {
+        return false;
       }
-      return true;
-    };
-    for (int iter = 1; iter <= max_iterations && !status.parity_ok; ++iter) {
-      for (std::size_t b = 0; b + 1 < block_slot_.size(); ++b) {
-        const auto base = std::size_t(block_slot_[b]) * kLanes;
-        kernels.cn_minsum_block(&ws.var_to_check[base], &ws.check_to_var[base],
-                                block_slot_[b + 1] - block_slot_[b],
-                                kMinSumScale);
-      }
-      kernels.vn_update(llr.data(), n_, column_weight_, var_slots_.data(),
-                        ws.check_to_var.data(), ws.var_to_check.data(),
-                        ws.posterior.data());
-      status.iterations_used = iter;
-      status.parity_ok = all_checks_met();
     }
-    if (status.iterations_used == 0) {
-      // All-zero decisions (no iteration ran) satisfy every check.
-      status.parity_ok = true;
-      return status;
+    return true;
+  };
+  DecodeStatus status;
+  for (int iter = 1; iter <= max_iterations && !status.parity_ok; ++iter) {
+    for (std::size_t b = 0; b + 1 < block_slot_.size(); ++b) {
+      const auto base = std::size_t(block_slot_[b]) * kLanes;
+      kernels.cn_minsum_block(&ws.var_to_check[base], &ws.check_to_var[base],
+                              block_slot_[b + 1] - block_slot_[b],
+                              kMinSumScale);
     }
-    for (int v = 0; v < n_; ++v) {
-      ws.codeword[std::size_t(v)] = ws.posterior[std::size_t(v)] < 0.0F;
-    }
+    kernels.vn_update(llr.data(), n_, column_weight_, var_slots_.data(),
+                      ws.check_to_var.data(), ws.var_to_check.data(),
+                      ws.posterior.data());
+    status.iterations_used = iter;
+    status.parity_ok = all_checks_met();
+  }
+  if (status.iterations_used == 0) {
+    // All-zero decisions (no iteration ran) satisfy every check.
+    status.parity_ok = true;
     return status;
   }
-
-  // --- Layered (serial-C) schedule: each check updates against the
-  // live posterior, so beliefs propagate within an iteration. Parity is
-  // tracked on the fly: the all-zero start satisfies every check, and
-  // flip_bit() keeps the unsatisfied count exact.
-  ws.check_to_var.resize(std::size_t(num_edges_));
-  ws.syndrome.assign(std::size_t(m_), 0);
-  int unsatisfied = 0;
-  ws.posterior.assign(llr.begin(), llr.end());
-  std::fill(ws.check_to_var.begin(), ws.check_to_var.end(), 0.0F);
-  ws.layer_q.resize(std::size_t(max_check_degree_));
-  ws.layer_r.resize(std::size_t(max_check_degree_));
-  // Seed hard decisions (and the tracked syndrome) from the channel.
   for (int v = 0; v < n_; ++v) {
-    if (llr[std::size_t(v)] < 0.0F) {
-      ws.codeword[std::size_t(v)] = 1;
-      flip_bit(v, var_edge_offset_, var_edges_, edge_check_, ws.syndrome,
-               unsatisfied);
-    }
+    ws.codeword[std::size_t(v)] = ws.posterior[std::size_t(v)] < 0.0F;
   }
-
-  for (int iter = 1; iter <= max_iterations; ++iter) {
-    for (int c = 0; c < m_; ++c) {
-      const int base = check_edge_offset_[std::size_t(c)];
-      const int deg = check_edge_offset_[std::size_t(c) + 1] - base;
-      // Gather this check's inputs from the live posterior, run the
-      // min-sum kernel, then commit messages/posterior/bit flips.
-      for (int j = 0; j < deg; ++j) {
-        const int e = base + j;
-        ws.layer_q[std::size_t(j)] =
-            ws.posterior[std::size_t(edge_var_[std::size_t(e)])] -
-            ws.check_to_var[std::size_t(e)];
-      }
-      kernels.cn_minsum(ws.layer_q.data(), ws.layer_r.data(), deg,
-                        kMinSumScale);
-      for (int j = 0; j < deg; ++j) {
-        const int e = base + j;
-        const int v = edge_var_[std::size_t(e)];
-        const float q = ws.layer_q[std::size_t(j)];
-        const float r = ws.layer_r[std::size_t(j)];
-        ws.check_to_var[std::size_t(e)] = r;
-        const float post = q + r;
-        ws.posterior[std::size_t(v)] = post;
-        const std::uint8_t bit = post < 0.0F ? 1 : 0;
-        if (bit != ws.codeword[std::size_t(v)]) {
-          ws.codeword[std::size_t(v)] = bit;
-          flip_bit(v, var_edge_offset_, var_edges_, edge_check_, ws.syndrome,
-                   unsatisfied);
-        }
-      }
-    }
-    status.iterations_used = iter;
-    if (unsatisfied == 0) {
-      status.parity_ok = true;
-      return status;
-    }
-  }
-  status.parity_ok = unsatisfied == 0;
   return status;
 }
 

@@ -8,23 +8,18 @@
 // decoding the signal", and with a real BP decoder iteration count
 // genuinely moves the decoding threshold.
 //
-// Two message-passing schedules are available:
-//  * kFlooding — all check nodes update, then all variable nodes. The
-//    codebase-wide default; its arithmetic is bit-identical across
-//    refactors, which the golden-trace determinism test relies on.
-//    It runs check-block batched: checks are grouped into blocks of
-//    simd::kBlockLanes, messages are stored slot-major
-//    ([block][slot j][lane], unused lanes and slots padded with the
-//    neutral simd::kBlockPad), one cn_minsum_block call updates a whole
-//    block with contiguous loads, and one vn_update call sums each
-//    variable's incoming messages in its original edge order (float
-//    order is what keeps the result exact). Parity is recomputed from
-//    the hard decisions after each iteration, block by block, stopping
-//    at the first block with an unsatisfied check.
-//  * kLayered — serial-C: checks update one at a time against the live
-//    posterior, so information propagates within an iteration and the
-//    decoder converges in roughly half the iterations at equal FER.
-//    Parity is tracked on the fly as hard decisions flip.
+// The decoder runs the flooding schedule — all check nodes update, then
+// all variable nodes — and its arithmetic is bit-identical across
+// refactors, which the golden-trace determinism test relies on. It is
+// check-block batched: checks are grouped into blocks of
+// simd::kBlockLanes, messages are stored slot-major ([block][slot j]
+// [lane], unused lanes and slots padded with the neutral
+// simd::kBlockPad), one cn_minsum_block call updates a whole block with
+// contiguous loads, and one vn_update call sums each variable's incoming
+// messages in its original edge order (float order is what keeps the
+// result exact). Parity is recomputed from the hard decisions after each
+// iteration, block by block, stopping at the first block with an
+// unsatisfied check.
 //
 // The hot decode path is allocation-free: callers own a reusable
 // DecodeWorkspace whose buffers amortize to zero heap traffic, and the
@@ -43,8 +38,6 @@ namespace slingshot {
 namespace simd {
 struct Kernels;
 }  // namespace simd
-
-enum class LdpcSchedule : std::uint8_t { kFlooding = 0, kLayered = 1 };
 
 class LdpcCode {
  public:
@@ -80,12 +73,9 @@ class LdpcCode {
   // land in `codeword`.
   struct DecodeWorkspace {
     std::vector<std::uint8_t> codeword;   // n hard decisions (output)
-    std::vector<float> var_to_check;      // flooding: check-block messages
-    std::vector<float> check_to_var;      // per-edge / check-block messages
+    std::vector<float> var_to_check;      // v->c messages, block layout
+    std::vector<float> check_to_var;      // c->v messages, block layout
     std::vector<float> posterior;         // per-variable posterior LLR
-    std::vector<float> layer_q;           // layered: one check's inputs
-    std::vector<float> layer_r;           // layered: one check's outputs
-    std::vector<std::uint8_t> syndrome;   // layered: per-check parity bit
   };
 
   struct DecodeStatus {
@@ -97,18 +87,15 @@ class LdpcCode {
   // Hard decisions are written to ws.codeword. Zero heap allocations
   // once the workspace has warmed up to this code's dimensions.
   DecodeStatus decode_into(std::span<const float> llr, int max_iterations,
-                           DecodeWorkspace& ws,
-                           LdpcSchedule schedule = LdpcSchedule::kFlooding)
-      const;
+                           DecodeWorkspace& ws) const;
   // Same decode on an explicit kernel table instead of the dispatched
   // simd::kernels(), so parity tests can pin every SIMD level.
   DecodeStatus decode_into(std::span<const float> llr, int max_iterations,
-                           DecodeWorkspace& ws, LdpcSchedule schedule,
+                           DecodeWorkspace& ws,
                            const simd::Kernels& kernels) const;
 
   // Convenience wrapper around decode_into() that returns an owned
-  // codeword (flooding schedule; message buffers come from a
-  // thread-local workspace).
+  // codeword (message buffers come from a thread-local workspace).
   [[nodiscard]] DecodeResult decode(std::span<const float> llr,
                                     int max_iterations) const;
 
@@ -143,9 +130,7 @@ class LdpcCode {
   std::vector<int> edge_var_;           // variable at each edge (by check)
   std::vector<int> var_edge_offset_;    // n+1 offsets into var_edges_
   std::vector<int> var_edges_;          // edge ids touching each variable
-  std::vector<int> edge_check_;         // owning check of each edge
   int num_edges_ = 0;
-  int max_check_degree_ = 0;
   int column_weight_ = 0;
   // Flooding check-block layout. Block b holds checks
   // [b * kBlockLanes, (b + 1) * kBlockLanes) in slots [block_slot_[b],

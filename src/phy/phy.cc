@@ -377,189 +377,73 @@ void PhyProcess::decode_uplink(CarrierState& carrier,
   CrcIndication crc_ind;
   RxDataIndication rx_ind;
 
-  // A slot granting the same (UE, HARQ) process twice (never produced
-  // by our L2, but legal FAPI) chains decode i's stored soft bits into
-  // decode i+1's prior — an inter-task dependency the fork-join
-  // contract forbids. Pre-scan (no state mutation yet) and send such
-  // slots down the strictly serial pre-pool path, identical at every
-  // thread count.
-  bool repeated_harq_process = false;
-  for (std::size_t i = 0; i + 1 < pdus.size() && !repeated_harq_process;
-       ++i) {
-    for (std::size_t j = i + 1; j < pdus.size(); ++j) {
-      if (pdus[i].ue == pdus[j].ue && pdus[i].harq == pdus[j].harq) {
-        repeated_harq_process = true;
-        break;
-      }
-    }
-  }
+  // One serial pass in PDU order. A slot that grants the same (UE, HARQ)
+  // process twice chains naturally: decode i stores its soft bits before
+  // decode i+1 looks up its prior.
+  for (const auto& pdu : pdus) {
+    auto& filter =
+        carrier.snr_filters
+            .try_emplace(pdu.ue.value(), config_.snr_filter_alpha)
+            .first->second;
 
-  if (!repeated_harq_process) {
-    // ---- Phase 1 (serial, PDU order): stage one task per PDU. All
-    // mutable-state reads a decode depends on — the HARQ prior (after
-    // new_data handling) and the received section — are resolved here,
-    // so each staged task is a pure function of its own inputs. The
-    // staged pointers stay valid through the fork: HarqSoftBufferStore
-    // is node-based (operations on other keys don't move entries) and
-    // no store/release happens before the commit phase.
-    decode_tasks_.clear();
-    for (const auto& pdu : pdus) {
-      DecodeTask task;
-      task.pdu = &pdu;
-      task.filter =
-          &carrier.snr_filters
-               .try_emplace(pdu.ue.value(), config_.snr_filter_alpha)
-               .first->second;
-      const auto section_it = std::find_if(
-          sections.begin(), sections.end(),
-          [&](const UPlaneSection& s) { return s.ue == pdu.ue; });
-      if (section_it != sections.end()) {
-        task.section = &*section_it;
-        task.mod = mcs_entry(section_it->mcs).modulation;
-        if (pdu.new_data) {
-          carrier.harq.start_new(pdu.ue, pdu.harq);
-        }
-        const auto* buffer = carrier.harq.find(pdu.ue, pdu.harq);
-        task.prior = buffer != nullptr ? &buffer->llrs : nullptr;
-      }
-      decode_tasks_.push_back(std::move(task));
-    }
+    const auto section_it = std::find_if(
+        sections.begin(), sections.end(),
+        [&](const UPlaneSection& s) { return s.ue == pdu.ue; });
 
-    // ---- Phase 2: fork-join decode. Tasks are enqueued in fixed PDU
-    // order and each writes only its own result slot and per-worker
-    // workspace, so the joined results are bit-identical at every
-    // thread count; the join returns before the event loop advances.
-    const int workers = sim_.parallel_workers();
-    if (int(worker_ws_.size()) < workers) {
-      worker_ws_.resize(std::size_t(workers));
-    }
-    sim_.run_parallel(decode_tasks_.size(), [&](std::size_t i, int worker) {
-      DecodeTask& task = decode_tasks_[i];
-      if (task.section == nullptr) {
-        return;
-      }
-      task.result = decode_tb(task.section->iq, task.mod,
-                              task.section->shadow_payload,
-                              config_.ldpc_max_iters, task.prior,
-                              LdpcCode::standard(),
-                              &worker_ws_[std::size_t(worker)]);
-    });
+    CrcEntry entry;
+    entry.ue = pdu.ue;
+    entry.harq = pdu.harq;
 
-    // ---- Phase 3 (serial, PDU order): commit results — stats, SNR
-    // filters, HARQ buffers, indications — exactly as the serial
-    // decoder did, on the event-loop thread.
-    for (auto& task : decode_tasks_) {
-      const auto& pdu = *task.pdu;
-      Ewma& filter = *task.filter;
-
-      CrcEntry entry;
-      entry.ue = pdu.ue;
-      entry.harq = pdu.harq;
-
-      if (task.section == nullptr) {
-        // Granted but no signal arrived (UE missed the grant, or
-        // fronthaul packets were lost during migration):
-        // indistinguishable from decoding a noisy channel — CRC failure.
-        ++stats_.ul_missing_sections;
-        entry.ok = false;
-        entry.snr_db = float(filter.initialized() ? filter.value()
-                                                  : config_.default_snr_db);
-        crc_ind.entries.push_back(entry);
-        continue;
-      }
-
-      if (task.prior != nullptr) {
-        ++stats_.harq_combines;
-      }
-      auto& result = task.result;
-      ++stats_.ul_tbs_decoded;
-      stats_.decode_iterations += result.iterations_used;
-      stats_.work_units += kDecodeWorkPerIterPerBit *
-                           double(result.iterations_used) *
-                           double(task.section->codeword_bits);
-
-      // Update the per-UE SNR moving average (soft state, §4.2).
-      filter.add(result.est_snr_db);
-      entry.snr_db = float(filter.value());
-      entry.ok = result.crc_ok;
+    if (section_it == sections.end()) {
+      // Granted but no signal arrived (UE missed the grant, or fronthaul
+      // packets were lost during migration): indistinguishable from
+      // decoding a noisy channel — CRC failure.
+      ++stats_.ul_missing_sections;
+      entry.ok = false;
+      entry.snr_db = float(filter.initialized() ? filter.value()
+                                                : config_.default_snr_db);
       crc_ind.entries.push_back(entry);
-
-      if (result.crc_ok) {
-        ++stats_.ul_crc_ok;
-        carrier.harq.release(pdu.ue, pdu.harq);
-        RxPdu rx;
-        rx.ue = pdu.ue;
-        rx.harq = pdu.harq;
-        rx.payload = task.section->shadow_payload;
-        rx_ind.pdus.push_back(std::move(rx));
-      } else {
-        ++stats_.ul_crc_fail;
-        carrier.harq.store(pdu.ue, pdu.harq,
-                           std::move(result.combined_llrs));
-      }
+      continue;
     }
-  } else {
-    for (const auto& pdu : pdus) {
-      auto& filter =
-          carrier.snr_filters
-              .try_emplace(pdu.ue.value(), config_.snr_filter_alpha)
-              .first->second;
 
-      const auto section_it = std::find_if(
-          sections.begin(), sections.end(),
-          [&](const UPlaneSection& s) { return s.ue == pdu.ue; });
+    const auto& section = *section_it;
+    if (pdu.new_data) {
+      carrier.harq.start_new(pdu.ue, pdu.harq);
+    }
+    const auto* buffer = carrier.harq.find(pdu.ue, pdu.harq);
+    const std::vector<float>* prior =
+        buffer != nullptr ? &buffer->llrs : nullptr;
+    if (prior != nullptr) {
+      ++stats_.harq_combines;
+    }
 
-      CrcEntry entry;
-      entry.ue = pdu.ue;
-      entry.harq = pdu.harq;
+    const auto mod = mcs_entry(section.mcs).modulation;
+    auto result = decode_tb(section.iq, mod, section.shadow_payload,
+                            config_.ldpc_max_iters, prior,
+                            LdpcCode::standard(), &ws_);
+    ++stats_.ul_tbs_decoded;
+    stats_.decode_iterations += result.iterations_used;
+    stats_.work_units += kDecodeWorkPerIterPerBit *
+                         double(result.iterations_used) *
+                         double(section.codeword_bits);
 
-      if (section_it == sections.end()) {
-        ++stats_.ul_missing_sections;
-        entry.ok = false;
-        entry.snr_db = float(filter.initialized() ? filter.value()
-                                                  : config_.default_snr_db);
-        crc_ind.entries.push_back(entry);
-        continue;
-      }
+    // Update the per-UE SNR moving average (soft state, §4.2).
+    filter.add(result.est_snr_db);
+    entry.snr_db = float(filter.value());
+    entry.ok = result.crc_ok;
+    crc_ind.entries.push_back(entry);
 
-      const auto& section = *section_it;
-      if (pdu.new_data) {
-        carrier.harq.start_new(pdu.ue, pdu.harq);
-      }
-      const auto* buffer = carrier.harq.find(pdu.ue, pdu.harq);
-      const std::vector<float>* prior =
-          buffer != nullptr ? &buffer->llrs : nullptr;
-      if (prior != nullptr) {
-        ++stats_.harq_combines;
-      }
-
-      const auto mod = mcs_entry(section.mcs).modulation;
-      auto result = decode_tb(section.iq, mod, section.shadow_payload,
-                              config_.ldpc_max_iters, prior,
-                              LdpcCode::standard(), &worker_ws_[0]);
-      ++stats_.ul_tbs_decoded;
-      stats_.decode_iterations += result.iterations_used;
-      stats_.work_units += kDecodeWorkPerIterPerBit *
-                           double(result.iterations_used) *
-                           double(section.codeword_bits);
-
-      filter.add(result.est_snr_db);
-      entry.snr_db = float(filter.value());
-      entry.ok = result.crc_ok;
-      crc_ind.entries.push_back(entry);
-
-      if (result.crc_ok) {
-        ++stats_.ul_crc_ok;
-        carrier.harq.release(pdu.ue, pdu.harq);
-        RxPdu rx;
-        rx.ue = pdu.ue;
-        rx.harq = pdu.harq;
-        rx.payload = section.shadow_payload;
-        rx_ind.pdus.push_back(std::move(rx));
-      } else {
-        ++stats_.ul_crc_fail;
-        carrier.harq.store(pdu.ue, pdu.harq, std::move(result.combined_llrs));
-      }
+    if (result.crc_ok) {
+      ++stats_.ul_crc_ok;
+      carrier.harq.release(pdu.ue, pdu.harq);
+      RxPdu rx;
+      rx.ue = pdu.ue;
+      rx.harq = pdu.harq;
+      rx.payload = section.shadow_payload;
+      rx_ind.pdus.push_back(std::move(rx));
+    } else {
+      ++stats_.ul_crc_fail;
+      carrier.harq.store(pdu.ue, pdu.harq, std::move(result.combined_llrs));
     }
   }
 

@@ -145,17 +145,6 @@ class PhyProcess final : public FapiSink {
     std::unordered_map<std::uint16_t, Ewma> snr_filters;
   };
 
-  // One slot-decode task: staged serially in PDU order, decoded (maybe
-  // in parallel — see decode_uplink), committed serially in PDU order.
-  struct DecodeTask {
-    const TtiPdu* pdu = nullptr;
-    const UPlaneSection* section = nullptr;  // null: granted, no signal
-    const std::vector<float>* prior = nullptr;  // HARQ soft buffer
-    Ewma* filter = nullptr;                  // per-UE SNR filter
-    Modulation mod = Modulation::kQpsk;
-    TbDecodeResult result;
-  };
-
   void on_slot(std::int64_t slot);
   void process_carrier_slot(CarrierState& carrier, std::int64_t slot);
   void emit_downlink(CarrierState& carrier, std::int64_t slot,
@@ -176,11 +165,7 @@ class PhyProcess final : public FapiSink {
   std::map<RuId, CarrierState> carriers_;
   PhyStats stats_;
   // Reused across every UL TB decode: zero per-decode heap traffic.
-  // One workspace per fork-join worker (index = worker id); grown
-  // lazily to the attached pool's width, [0] serves the serial path.
-  std::vector<TbDecodeWorkspace> worker_ws_{1};
-  // Per-slot task list, reused across slots (capacity persists).
-  std::vector<DecodeTask> decode_tasks_;
+  TbDecodeWorkspace ws_;
 };
 
 }  // namespace slingshot

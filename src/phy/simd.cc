@@ -12,14 +12,13 @@
 #endif
 
 namespace slingshot::simd {
-namespace {
 
 // ---------------------------------------------------------------------
 // Scalar reference kernels. These ARE the semantics: every vector
 // implementation below must match them bit-for-bit on finite inputs.
 // ---------------------------------------------------------------------
 
-void cn_minsum_scalar(const float* q, float* r, int deg, float scale) {
+void cn_minsum(const float* q, float* r, int deg, float scale) {
   float min1 = 1e30F;
   float min2 = 1e30F;
   int min_pos = -1;
@@ -45,6 +44,8 @@ void cn_minsum_scalar(const float* q, float* r, int deg, float scale) {
     r[std::size_t(j)] = (sign_excl ? -1.0F : 1.0F) * scale * mag;
   }
 }
+
+namespace {
 
 void cn_minsum_block_scalar(const float* q, float* r, int deg, float scale) {
   constexpr std::size_t kLanes = kBlockLanes;
@@ -260,108 +261,19 @@ void bfp_unpack_scalar(const std::uint8_t* src, std::size_t n, int m,
 }
 
 constexpr Kernels kScalarKernels{
-    cn_minsum_scalar,       cn_minsum_block_scalar, vn_update_scalar,
-    block_parity_ok_scalar, demap_soft_scalar,      deadline_scan_scalar,
-    ar1_update_scalar,      peak_abs_scalar,        bfp_quantize_scalar,
-    bfp_dequantize_scalar,  bfp_pack_scalar,        bfp_unpack_scalar};
+    cn_minsum_block_scalar, vn_update_scalar,      block_parity_ok_scalar,
+    demap_soft_scalar,      deadline_scan_scalar,  ar1_update_scalar,
+    peak_abs_scalar,        bfp_quantize_scalar,   bfp_dequantize_scalar,
+    bfp_pack_scalar,        bfp_unpack_scalar};
 
 #if SLINGSHOT_SIMD_X86
-
-// Exact two-smallest merge, identical update rule to the scalar kernel.
-// Values >= 1e30 (the padding) can never displace a real minimum, so
-// running this over a 1e30-padded array gives the scalar result.
-inline void two_smallest(const float* vals, int count, float& min1,
-                         float& min2) {
-  min1 = 1e30F;
-  min2 = 1e30F;
-  for (int i = 0; i < count; ++i) {
-    const float v = vals[std::size_t(i)];
-    if (v < min1) {
-      min2 = min1;
-      min1 = v;
-    } else if (v < min2) {
-      min2 = v;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------
 // SSE2 (x86-64 baseline).
 // ---------------------------------------------------------------------
 
-void cn_minsum_sse2(const float* q, float* r, int deg, float scale) {
-  const __m128 sign_mask = _mm_set1_ps(-0.0F);
-  const __m128 pad = _mm_set1_ps(1e30F);
-  const __m128 zero = _mm_setzero_ps();
-
-  // Pass 1: lane-wise two-smallest magnitudes + sign parity.
-  __m128 vmin1 = pad;
-  __m128 vmin2 = pad;
-  unsigned neg_parity = 0;
-  int j = 0;
-  for (; j + 4 <= deg; j += 4) {
-    const __m128 v = _mm_loadu_ps(q + j);
-    const __m128 mag = _mm_andnot_ps(sign_mask, v);
-    neg_parity ^= unsigned(_mm_movemask_ps(_mm_cmplt_ps(v, zero)));
-    vmin2 = _mm_min_ps(vmin2, _mm_max_ps(vmin1, mag));
-    vmin1 = _mm_min_ps(vmin1, mag);
-  }
-  const int tail = deg - j;
-  alignas(16) float tail_buf[4] = {1e30F, 1e30F, 1e30F, 1e30F};
-  if (tail > 0) {
-    std::memcpy(tail_buf, q + j, std::size_t(tail) * sizeof(float));
-    const __m128 v = _mm_load_ps(tail_buf);
-    const __m128 mag = _mm_andnot_ps(sign_mask, v);
-    neg_parity ^= unsigned(_mm_movemask_ps(_mm_cmplt_ps(v, zero)));
-    vmin2 = _mm_min_ps(vmin2, _mm_max_ps(vmin1, mag));
-    vmin1 = _mm_min_ps(vmin1, mag);
-  }
-  const unsigned sign_all = unsigned(__builtin_popcount(neg_parity)) & 1U;
-
-  // Horizontal merge: the global two smallest live in the union of the
-  // per-lane two smallest.
-  alignas(16) float lanes[8];
-  _mm_store_ps(lanes, vmin1);
-  _mm_store_ps(lanes + 4, vmin2);
-  float min1 = 1e30F;
-  float min2 = 1e30F;
-  two_smallest(lanes, 8, min1, min2);
-
-  // Pass 2: r[j] = +/- scale * (mag == min1 ? min2 : min1). A
-  // non-argmin tie with min1 forces min2 == min1, so value selection
-  // matches the scalar argmin selection bit-for-bit.
-  const __m128 bmin1 = _mm_set1_ps(min1);
-  const __m128 bmin2 = _mm_set1_ps(min2);
-  const __m128 vscale = _mm_set1_ps(scale);
-  const __m128 flip_bias = sign_all != 0 ? _mm_set1_ps(-0.0F) : zero;
-  j = 0;
-  for (; j + 4 <= deg; j += 4) {
-    const __m128 v = _mm_loadu_ps(q + j);
-    const __m128 mag = _mm_andnot_ps(sign_mask, v);
-    const __m128 eq = _mm_cmpeq_ps(mag, bmin1);
-    const __m128 sel =
-        _mm_or_ps(_mm_and_ps(eq, bmin2), _mm_andnot_ps(eq, bmin1));
-    const __m128 neg = _mm_and_ps(_mm_cmplt_ps(v, zero), sign_mask);
-    const __m128 flip = _mm_xor_ps(neg, flip_bias);
-    _mm_storeu_ps(r + j, _mm_xor_ps(_mm_mul_ps(vscale, sel), flip));
-  }
-  if (tail > 0) {
-    const __m128 v = _mm_load_ps(tail_buf);
-    const __m128 mag = _mm_andnot_ps(sign_mask, v);
-    const __m128 eq = _mm_cmpeq_ps(mag, bmin1);
-    const __m128 sel =
-        _mm_or_ps(_mm_and_ps(eq, bmin2), _mm_andnot_ps(eq, bmin1));
-    const __m128 neg = _mm_and_ps(_mm_cmplt_ps(v, zero), sign_mask);
-    const __m128 flip = _mm_xor_ps(neg, flip_bias);
-    alignas(16) float out_buf[4];
-    _mm_store_ps(out_buf, _mm_xor_ps(_mm_mul_ps(vscale, sel), flip));
-    std::memcpy(r + j, out_buf, std::size_t(tail) * sizeof(float));
-  }
-}
-
-// The block kernel needs no horizontal merge: each lane is its own
-// check, so the lane-wise two smallest ARE the check's (min1, min2).
-// A block row is two 4-lane halves.
+// Each lane is its own check, so the lane-wise two smallest ARE the
+// check's (min1, min2). A block row is two 4-lane halves.
 void cn_minsum_block_sse2(const float* q, float* r, int deg, float scale) {
   const __m128 sign_mask = _mm_set1_ps(-0.0F);
   const __m128 zero = _mm_setzero_ps();
@@ -647,10 +559,10 @@ void bfp_unpack_sse2(const std::uint8_t* src, std::size_t n, int m,
 // SSE2 has no gather, so the variable-node update and the block parity
 // stay scalar there.
 constexpr Kernels kSse2Kernels{
-    cn_minsum_sse2,         cn_minsum_block_sse2, vn_update_scalar,
-    block_parity_ok_scalar, demap_soft_sse2,      deadline_scan_sse2,
-    ar1_update_sse2,        peak_abs_sse2,        bfp_quantize_sse2,
-    bfp_dequantize_sse2,    bfp_pack_sse2,        bfp_unpack_sse2};
+    cn_minsum_block_sse2, vn_update_scalar,    block_parity_ok_scalar,
+    demap_soft_sse2,      deadline_scan_sse2,  ar1_update_sse2,
+    peak_abs_sse2,        bfp_quantize_sse2,   bfp_dequantize_sse2,
+    bfp_pack_sse2,        bfp_unpack_sse2};
 
 // ---------------------------------------------------------------------
 // AVX2.
@@ -663,87 +575,8 @@ constexpr Kernels kSse2Kernels{
 // SimdKernels.Avx2KernelsReturnWithUpperYmmStateClean.
 // ---------------------------------------------------------------------
 
-// Load mask covering the first `count` (1..8) lanes.
-alignas(32) constexpr int kTailMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                           0,  0,  0,  0,  0,  0,  0,  0};
-
-__attribute__((target("avx2"))) void cn_minsum_avx2(const float* q, float* r,
-                                                    int deg, float scale) {
-  const __m256 sign_mask = _mm256_set1_ps(-0.0F);
-  const __m256 pad = _mm256_set1_ps(1e30F);
-  const __m256 zero = _mm256_setzero_ps();
-
-  __m256 vmin1 = pad;
-  __m256 vmin2 = pad;
-  unsigned neg_parity = 0;
-  int j = 0;
-  for (; j + 8 <= deg; j += 8) {
-    const __m256 v = _mm256_loadu_ps(q + j);
-    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
-    neg_parity ^=
-        unsigned(_mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ)));
-    vmin2 = _mm256_min_ps(vmin2, _mm256_max_ps(vmin1, mag));
-    vmin1 = _mm256_min_ps(vmin1, mag);
-  }
-  const int tail = deg - j;
-  __m256i tail_mask = _mm256_setzero_si256();
-  if (tail > 0) {
-    // maskload never faults on masked-out lanes, so reading at the end
-    // of the edge array is safe; padded lanes become 1e30 (positive,
-    // never minimal).
-    tail_mask = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kTailMask + (8 - tail)));
-    const __m256 raw = _mm256_maskload_ps(q + j, tail_mask);
-    const __m256 v =
-        _mm256_blendv_ps(pad, raw, _mm256_castsi256_ps(tail_mask));
-    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
-    neg_parity ^=
-        unsigned(_mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ)));
-    vmin2 = _mm256_min_ps(vmin2, _mm256_max_ps(vmin1, mag));
-    vmin1 = _mm256_min_ps(vmin1, mag);
-  }
-  const unsigned sign_all = unsigned(__builtin_popcount(neg_parity)) & 1U;
-
-  alignas(32) float lanes[16];
-  _mm256_store_ps(lanes, vmin1);
-  _mm256_store_ps(lanes + 8, vmin2);
-  float min1 = 1e30F;
-  float min2 = 1e30F;
-  two_smallest(lanes, 16, min1, min2);
-
-  const __m256 bmin1 = _mm256_set1_ps(min1);
-  const __m256 bmin2 = _mm256_set1_ps(min2);
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 flip_bias = sign_all != 0 ? sign_mask : zero;
-  j = 0;
-  for (; j + 8 <= deg; j += 8) {
-    const __m256 v = _mm256_loadu_ps(q + j);
-    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
-    const __m256 eq = _mm256_cmp_ps(mag, bmin1, _CMP_EQ_OQ);
-    const __m256 sel = _mm256_blendv_ps(bmin1, bmin2, eq);
-    const __m256 neg =
-        _mm256_and_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ), sign_mask);
-    const __m256 flip = _mm256_xor_ps(neg, flip_bias);
-    _mm256_storeu_ps(r + j,
-                     _mm256_xor_ps(_mm256_mul_ps(vscale, sel), flip));
-  }
-  if (tail > 0) {
-    const __m256 raw = _mm256_maskload_ps(q + j, tail_mask);
-    const __m256 v =
-        _mm256_blendv_ps(pad, raw, _mm256_castsi256_ps(tail_mask));
-    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
-    const __m256 eq = _mm256_cmp_ps(mag, bmin1, _CMP_EQ_OQ);
-    const __m256 sel = _mm256_blendv_ps(bmin1, bmin2, eq);
-    const __m256 neg =
-        _mm256_and_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ), sign_mask);
-    const __m256 flip = _mm256_xor_ps(neg, flip_bias);
-    _mm256_maskstore_ps(r + j, tail_mask,
-                        _mm256_xor_ps(_mm256_mul_ps(vscale, sel), flip));
-  }
-}
-
-// One register per block row: the lane-wise pass-1 state is the answer,
-// with no tail masks and no horizontal merge.
+// One register per block row; as in the SSE2 kernel, the lane-wise
+// two smallest are each check's (min1, min2).
 __attribute__((target("avx2"))) void cn_minsum_block_avx2(const float* q,
                                                           float* r, int deg,
                                                           float scale) {
@@ -1072,10 +905,10 @@ __attribute__((target("avx2"))) void bfp_unpack_avx2(const std::uint8_t* src,
 }
 
 constexpr Kernels kAvx2Kernels{
-    cn_minsum_avx2,       cn_minsum_block_avx2, vn_update_avx2,
-    block_parity_ok_avx2, demap_soft_avx2,      deadline_scan_avx2,
-    ar1_update_avx2,      peak_abs_avx2,        bfp_quantize_avx2,
-    bfp_dequantize_avx2,  bfp_pack_avx2,        bfp_unpack_avx2};
+    cn_minsum_block_avx2, vn_update_avx2,      block_parity_ok_avx2,
+    demap_soft_avx2,      deadline_scan_avx2,  ar1_update_avx2,
+    peak_abs_avx2,        bfp_quantize_avx2,   bfp_dequantize_avx2,
+    bfp_pack_avx2,        bfp_unpack_avx2};
 
 #endif  // SLINGSHOT_SIMD_X86
 

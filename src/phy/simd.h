@@ -58,14 +58,16 @@ inline constexpr float kBlockPad = 1e30F;
 
 [[nodiscard]] const char* level_name(Level level);
 
-struct Kernels {
-  // Normalized min-sum check-node update over one check's `deg`
-  // incoming messages q[0..deg): r[j] gets the sign-excluded product
-  // sign * scale * mag, where mag is the smallest |q| excluding
-  // position j (i.e. min2 at the argmin position, min1 elsewhere).
-  // q and r must not alias.
-  void (*cn_minsum)(const float* q, float* r, int deg, float scale);
+// Normalized min-sum check-node update over one check's `deg` incoming
+// messages q[0..deg): r[j] gets the sign-excluded product
+// sign * scale * mag, where mag is the smallest |q| excluding position j
+// (i.e. min2 at the argmin position, min1 elsewhere). q and r must not
+// alias. Scalar only: it is the per-check reference that
+// Kernels::cn_minsum_block and the flooding-decoder oracle test are
+// held bit-exact against.
+void cn_minsum(const float* q, float* r, int deg, float scale);
 
+struct Kernels {
   // cn_minsum over one check block: kBlockLanes checks side by side,
   // messages stored slot-major (q[j * kBlockLanes + lane] is the lane's
   // j-th message). Each lane's output equals cn_minsum over that lane's

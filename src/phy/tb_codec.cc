@@ -84,8 +84,7 @@ TbDecodeResult decode_tb(std::span<const std::complex<float>> iq,
                          std::span<const std::uint8_t> shadow_payload,
                          int max_ldpc_iterations,
                          const std::vector<float>* prior_llrs,
-                         const LdpcCode& code, TbDecodeWorkspace* ws,
-                         LdpcSchedule schedule) {
+                         const LdpcCode& code, TbDecodeWorkspace* ws) {
   thread_local TbDecodeWorkspace fallback_ws;
   if (ws == nullptr) {
     ws = &fallback_ws;
@@ -145,8 +144,7 @@ TbDecodeResult decode_tb(std::span<const std::complex<float>> iq,
   }
 
   // --- LDPC decode + CRC check.
-  const auto decoded = code.decode_into(llrs, max_ldpc_iterations, ws->ldpc,
-                                        schedule);
+  const auto decoded = code.decode_into(llrs, max_ldpc_iterations, ws->ldpc);
   result.parity_ok = decoded.parity_ok;
   result.iterations_used = decoded.iterations_used;
   if (!decoded.parity_ok) {

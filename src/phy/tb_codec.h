@@ -72,8 +72,7 @@ struct TbDecodeWorkspace {
     std::span<const std::uint8_t> shadow_payload, int max_ldpc_iterations,
     const std::vector<float>* prior_llrs = nullptr,
     const LdpcCode& code = LdpcCode::standard(),
-    TbDecodeWorkspace* ws = nullptr,
-    LdpcSchedule schedule = LdpcSchedule::kFlooding);
+    TbDecodeWorkspace* ws = nullptr);
 
 // The fixed pilot sequence (unit-energy QPSK, pseudo-random).
 [[nodiscard]] std::span<const std::complex<float>> pilot_sequence();

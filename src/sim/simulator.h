@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "common/time.h"
 #include "sim/calendar_queue.h"
 
@@ -195,37 +194,6 @@ class Simulator {
   void set_obs(obs::Observability* o) { obs_ = o; }
   [[nodiscard]] obs::Observability* obs() const { return obs_; }
 
-  // Optional fork-join worker pool for intra-event data parallelism
-  // (see common/threadpool.h). Null by default: run_parallel degrades
-  // to a serial loop and the simulator stays strictly single-threaded.
-  // The pool must outlive the simulator run. Attaching a pool must not
-  // change any simulation outcome — tasks handed to run_parallel are
-  // pure functions of pre-staged inputs writing disjoint result slots,
-  // so the event stream, the (time, seq) trace hash, and every decode
-  // result are bit-identical at every worker count. Observability and
-  // fault-injection hooks keep working unmodified because they only
-  // ever run on the event-loop thread: the fork and the join both
-  // happen inside the currently-executing event.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  [[nodiscard]] ThreadPool* thread_pool() const { return pool_; }
-  // Worker count run_parallel will fan out to (1 when no pool).
-  [[nodiscard]] int parallel_workers() const {
-    return pool_ != nullptr ? pool_->num_workers() : 1;
-  }
-
-  // Run body(task_index, worker_id) for every index in [0, n) and join
-  // before returning. Serial in task order when no pool is attached.
-  template <typename Body>
-  void run_parallel(std::size_t n, Body&& body) {
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n, std::forward<Body>(body));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        body(i, 0);
-      }
-    }
-  }
-
   // Schedule `fn` at absolute virtual time `t` (must be >= now). A
   // past-time `t` is CLAMPED to now(): the event fires at the current
   // time, after events already scheduled there, never behind the clock.
@@ -337,7 +305,6 @@ class Simulator {
   std::vector<std::uint32_t> free_slots_;
   RngRegistry rng_;
   obs::Observability* obs_ = nullptr;
-  ThreadPool* pool_ = nullptr;
 };
 
 inline void EventHandle::cancel() {

@@ -109,6 +109,27 @@ TEST(ThreadPool, ReforkStress) {
   EXPECT_EQ(checksum, want);
 }
 
+// A worker woken for one fork may reach the pool's lock only after that
+// fork has joined and the caller has started publishing the next one.
+// If it checked in then, it would claim indices of the new fork against
+// the old fork's size and function, running an index twice or never
+// (the join then waits forever). Forks that alternate between large and
+// small on more workers than cores make such late wakers common.
+TEST(ThreadPool, LateWakingWorkerNeverJoinsAFinishedFork) {
+  ThreadPool pool{16};
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t n = round % 2 == 0 ? 200 : 2;
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) {
+      h.store(0);
+    }
+    pool.parallel_for(n, [&](std::size_t i, int) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
 TEST(ThreadPool, SingleWorkerPoolRunsInline) {
   ThreadPool pool{1};
   EXPECT_EQ(pool.num_workers(), 1);

@@ -3,9 +3,8 @@
 // This TU overrides global operator new/delete with counting shims (the
 // reason it lives in its own test binary) and asserts that, once a
 // DecodeWorkspace is warm, LdpcCode::decode_into performs ZERO heap
-// allocations per decode — for both the flooding and layered schedules.
-// That is the contract that lets the PHY decode every uplink TB of a
-// 10-second run without touching the allocator.
+// allocations per decode. That is the contract that lets the PHY decode
+// every uplink TB of a 10-second run without touching the allocator.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -52,9 +51,7 @@ std::vector<float> make_noisy_llrs(const LdpcCode& code, RngStream& rng) {
   return llrs;
 }
 
-class DecodeAllocTest : public ::testing::TestWithParam<LdpcSchedule> {};
-
-TEST_P(DecodeAllocTest, WarmWorkspaceDecodeIsAllocationFree) {
+TEST(DecodeAlloc, WarmWorkspaceDecodeIsAllocationFree) {
   const auto& code = LdpcCode::standard();
   auto rng = RngRegistry{2024}.stream("alloc");
   LdpcCode::DecodeWorkspace ws;
@@ -66,24 +63,17 @@ TEST_P(DecodeAllocTest, WarmWorkspaceDecodeIsAllocationFree) {
   for (int i = 0; i < 8; ++i) {
     inputs.push_back(make_noisy_llrs(code, rng));
   }
-  (void)code.decode_into(inputs[0], 8, ws, GetParam());
+  (void)code.decode_into(inputs[0], 8, ws);
 
   const std::size_t before = g_alloc_count;
   for (const auto& llrs : inputs) {
-    (void)code.decode_into(llrs, 8, ws, GetParam());
+    (void)code.decode_into(llrs, 8, ws);
   }
   const std::size_t after = g_alloc_count;
   EXPECT_EQ(after - before, 0U)
       << "decode_into allocated " << (after - before)
       << " times across " << inputs.size() << " warm decodes";
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, DecodeAllocTest,
-    ::testing::Values(LdpcSchedule::kFlooding, LdpcSchedule::kLayered),
-    [](const ::testing::TestParamInfo<LdpcSchedule>& info) {
-      return info.param == LdpcSchedule::kFlooding ? "Flooding" : "Layered";
-    });
 
 }  // namespace
 }  // namespace slingshot

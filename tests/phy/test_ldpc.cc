@@ -160,22 +160,6 @@ TEST(LdpcCode, DeterministicForSeed) {
   EXPECT_EQ(a.encode(info), b.encode(info));
 }
 
-TEST(LdpcCode, LayeredDecodesCleanChannel) {
-  const auto& code = LdpcCode::standard();
-  auto rng = RngRegistry{10}.stream("ldpc");
-  const auto info = random_bits(code.k(), rng);
-  const auto cw = code.encode(info);
-  std::vector<float> llrs(cw.size());
-  for (std::size_t i = 0; i < cw.size(); ++i) {
-    llrs[i] = cw[i] ? -10.0F : 10.0F;
-  }
-  LdpcCode::DecodeWorkspace ws;
-  const auto status =
-      code.decode_into(llrs, 8, ws, LdpcSchedule::kLayered);
-  EXPECT_TRUE(status.parity_ok);
-  EXPECT_EQ(code.extract_info(ws.codeword), info);
-}
-
 TEST(LdpcCode, DecodeIntoMatchesDecode) {
   // The workspace entry point is the same algorithm as the allocating
   // wrapper — byte-identical outcomes.
@@ -192,45 +176,6 @@ TEST(LdpcCode, DecodeIntoMatchesDecode) {
     EXPECT_EQ(via_wrapper.codeword, ws.codeword);
   }
 }
-
-// The property that motivates the layered (serial-C) schedule: updated
-// beliefs propagate within an iteration, so at an equal (tight)
-// iteration budget the layered schedule's frame error rate is no worse
-// than flooding's. Swept across near-threshold SNRs.
-class LdpcScheduleSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(LdpcScheduleSweep, LayeredFerNoWorseThanFloodingAtEqualBudget) {
-  const auto& code = LdpcCode::standard();
-  const double snr_db = GetParam();
-  // Seed depends on the SNR point so sweep points are independent.
-  auto rng = RngRegistry{std::uint64_t(100 + snr_db * 10)}.stream("ldpc");
-  const int trials = 120;
-  const int budget = 4;  // tight: convergence speed decides the FER
-  int flooding_failures = 0;
-  int layered_failures = 0;
-  LdpcCode::DecodeWorkspace ws;
-  for (int t = 0; t < trials; ++t) {
-    const auto info = random_bits(code.k(), rng);
-    const auto cw = code.encode(info);
-    const auto llrs = bpsk_llrs(cw, snr_db, rng);
-    const auto flooding =
-        code.decode_into(llrs, budget, ws, LdpcSchedule::kFlooding);
-    const bool flooding_ok =
-        flooding.parity_ok && code.extract_info(ws.codeword) == info;
-    const auto layered =
-        code.decode_into(llrs, budget, ws, LdpcSchedule::kLayered);
-    const bool layered_ok =
-        layered.parity_ok && code.extract_info(ws.codeword) == info;
-    flooding_failures += flooding_ok ? 0 : 1;
-    layered_failures += layered_ok ? 0 : 1;
-  }
-  EXPECT_LE(layered_failures, flooding_failures)
-      << "snr=" << snr_db << " layered=" << layered_failures << "/" << trials
-      << " flooding=" << flooding_failures << "/" << trials;
-}
-
-INSTANTIATE_TEST_SUITE_P(NearThreshold, LdpcScheduleSweep,
-                         ::testing::Values(1.5, 2.0, 2.5, 3.0));
 
 }  // namespace
 }  // namespace slingshot

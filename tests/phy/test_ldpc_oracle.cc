@@ -59,7 +59,6 @@ LdpcCode::DecodeStatus reference_flooding(const LdpcCode& code,
       unsatisfied += syndrome[std::size_t(c)] ? 1 : -1;
     }
   };
-  const auto cn_minsum = simd::kernels_for(simd::Level::kScalar).cn_minsum;
 
   LdpcCode::DecodeStatus status;
   for (std::size_t e = 0; e < num_edges; ++e) {
@@ -69,8 +68,8 @@ LdpcCode::DecodeStatus reference_flooding(const LdpcCode& code,
     for (int c = 0; c < m; ++c) {
       const int base = g.check_edge_offset[std::size_t(c)];
       const int deg = g.check_edge_offset[std::size_t(c) + 1] - base;
-      cn_minsum(&var_to_check[std::size_t(base)],
-                &check_to_var[std::size_t(base)], deg, kMinSumScale);
+      simd::cn_minsum(&var_to_check[std::size_t(base)],
+                      &check_to_var[std::size_t(base)], deg, kMinSumScale);
     }
     for (int v = 0; v < n; ++v) {
       float total = llr[std::size_t(v)];
@@ -125,9 +124,8 @@ int expect_matches_oracle(const LdpcCode& code, const std::vector<float>& llr,
       reference_flooding(code, llr, max_iterations, want_cw, want_posterior);
   int compared = 0;
   for (const auto level : supported_levels()) {
-    const auto got = code.decode_into(llr, max_iterations, ws,
-                                      LdpcSchedule::kFlooding,
-                                      simd::kernels_for(level));
+    const auto got =
+        code.decode_into(llr, max_iterations, ws, simd::kernels_for(level));
     const std::string where = what + " level " + simd::level_name(level);
     EXPECT_EQ(got.iterations_used, want.iterations_used) << where;
     EXPECT_EQ(got.parity_ok, want.parity_ok) << where;
@@ -253,9 +251,6 @@ void sweep_bpsk(const LdpcCode& code, std::uint64_t seed,
                               name + " snr " + std::to_string(snr_db) +
                                   " iters " + std::to_string(iters));
       }
-      // Interleave a layered decode on the same workspace: the flooding
-      // path must re-establish its layout (and padding) every call.
-      (void)code.decode_into(llr, 2, ws, LdpcSchedule::kLayered);
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
+
+#include "common/rng.h"
 #include "net/nic.h"
 #include "phy/tb_codec.h"
 
@@ -302,6 +305,70 @@ TEST(PhyProcess, SoftStateTransferCopiesFilters) {
   other.transfer_soft_state_from(*f.phy);
   EXPECT_DOUBLE_EQ(other.filtered_snr_db(RuId{1}, UeId{1}),
                    f.phy->filtered_snr_db(RuId{1}, UeId{1}));
+}
+
+// Legal FAPI our L2 never sends: one slot grants the same (UE, HARQ)
+// process twice, a new transmission and then its retransmission. Decodes
+// run in PDU order, so the first one's stored soft bits are the second
+// one's HARQ prior. A grant for a UE with no signal sits in between to
+// make the PDU order of the CRC entries visible.
+TEST(PhyProcess, RepeatedHarqProcessInOneSlotChainsSoftBits) {
+  PhyFixture f;
+  f.configure_and_start();
+  f.feed_null(1, 40);
+  UlTtiRequest ul;
+  ul.pdus.push_back(TtiPdu{UeId{1}, 0, 300, HarqId{3}, true});
+  ul.pdus.push_back(TtiPdu{UeId{2}, 0, 300, HarqId{0}, true});
+  ul.pdus.push_back(TtiPdu{UeId{1}, 0, 300, HarqId{3}, false});
+  f.phy->on_fapi(FapiMessage{RuId{1}, 9, std::move(ul)});
+
+  // Far below the QPSK threshold: the first decode fails.
+  const std::vector<std::uint8_t> payload(300, 0x3C);
+  auto enc = encode_tb(payload, Modulation::kQpsk);
+  auto rng = RngRegistry{5}.stream("noise");
+  for (auto& s : enc.iq) {
+    s += std::complex<float>(float(rng.gaussian(0.0, 1.5)),
+                             float(rng.gaussian(0.0, 1.5)));
+  }
+  FronthaulPacket up;
+  up.header.direction = FhDirection::kUplink;
+  up.header.plane = FhPlane::kUser;
+  up.header.slot = SlotPoint::from_index(9, f.config.slots);
+  up.header.ru = RuId{1};
+  UPlaneSection section;
+  section.ue = UeId{1};
+  section.harq = HarqId{3};
+  section.new_data = true;
+  section.mcs = 0;
+  section.tb_bytes = 300;
+  section.codeword_bits = enc.codeword_bits;
+  section.iq = enc.iq;
+  section.shadow_payload = payload;
+  up.uplane.sections.push_back(std::move(section));
+  f.sim.at(Nanos(9) * 500_us + 200_us, [&f, up] {
+    f.link.send_from_b(make_fronthaul_frame(MacAddr{0xA1}, MacAddr{0xB1}, up));
+  });
+
+  f.sim.run_until(10'000_us);
+  ASSERT_EQ(f.capture.count(FapiMsgType::kCrcIndication), 1);
+  for (const auto& msg : f.capture.messages) {
+    if (msg.type() != FapiMsgType::kCrcIndication) {
+      continue;
+    }
+    const auto& entries = std::get<CrcIndication>(msg.body).entries;
+    ASSERT_EQ(entries.size(), 3U);
+    EXPECT_EQ(entries[0].ue, UeId{1});
+    EXPECT_EQ(entries[0].harq, HarqId{3});
+    EXPECT_FALSE(entries[0].ok);
+    EXPECT_EQ(entries[1].ue, UeId{2});
+    EXPECT_FALSE(entries[1].ok);
+    EXPECT_EQ(entries[2].ue, UeId{1});
+    EXPECT_EQ(entries[2].harq, HarqId{3});
+  }
+  const auto& stats = f.phy->stats();
+  EXPECT_EQ(stats.ul_tbs_decoded, 2);
+  EXPECT_EQ(stats.harq_combines, 1);
+  EXPECT_EQ(stats.ul_missing_sections, 1);
 }
 
 }  // namespace

@@ -34,68 +34,6 @@ std::vector<simd::Level> supported_vector_levels() {
   return levels;
 }
 
-void expect_cn_minsum_parity(const std::vector<float>& q, float scale) {
-  const int deg = int(q.size());
-  std::vector<float> want(q.size());
-  simd::kernels_for(simd::Level::kScalar)
-      .cn_minsum(q.data(), want.data(), deg, scale);
-  for (const auto level : supported_vector_levels()) {
-    std::vector<float> got(q.size(), -999.0F);
-    simd::kernels_for(level).cn_minsum(q.data(), got.data(), deg, scale);
-    EXPECT_EQ(
-        std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
-        << "level " << simd::level_name(level) << " deg " << deg;
-  }
-}
-
-TEST(SimdKernels, CnMinsumMatchesScalarOnRandomInputs) {
-  auto rng = RngRegistry{2024}.stream("cn-parity");
-  for (int trial = 0; trial < 3000; ++trial) {
-    const int deg = 1 + int(rng.next_u64() % 24);
-    std::vector<float> q(static_cast<std::size_t>(deg));
-    for (auto& v : q) {
-      switch (rng.next_u64() % 8) {
-        case 0: v = 0.0F; break;
-        case 1: v = -0.0F; break;
-        case 2:  // repeated magnitude: exercises the tie-selection proof
-          v = (rng.next_u64() & 1U) ? 1.25F : -1.25F;
-          break;
-        case 3: v = float(rng.gaussian(0.0, 1e-4)); break;   // tiny
-        case 4: v = float(rng.gaussian(0.0, 1e6)); break;    // huge
-        default: v = float(rng.gaussian(0.0, 5.0)); break;
-      }
-    }
-    expect_cn_minsum_parity(q, 0.8F);
-  }
-}
-
-// Every degree from 1 to 33 hits each SSE2 (4-lane) and AVX2 (8-lane)
-// tail length, including deg < width where the whole check is a tail.
-TEST(SimdKernels, CnMinsumMatchesScalarAtEveryTailLength) {
-  auto rng = RngRegistry{7}.stream("cn-tails");
-  for (int deg = 1; deg <= 33; ++deg) {
-    for (int rep = 0; rep < 40; ++rep) {
-      std::vector<float> q(static_cast<std::size_t>(deg));
-      for (auto& v : q) {
-        v = float(rng.gaussian(0.0, 3.0));
-      }
-      expect_cn_minsum_parity(q, 0.8F);
-    }
-  }
-}
-
-TEST(SimdKernels, CnMinsumMatchesScalarWhenAllMagnitudesTie) {
-  // Degenerate slab: every |q| equal, signs mixed. min1 == min2 at
-  // every position; any selection-rule discrepancy shows here.
-  for (const int deg : {1, 3, 4, 5, 8, 9, 16, 17}) {
-    std::vector<float> q(static_cast<std::size_t>(deg));
-    for (int i = 0; i < deg; ++i) {
-      q[std::size_t(i)] = (i % 2 != 0) ? -2.5F : 2.5F;
-    }
-    expect_cn_minsum_parity(q, 0.8F);
-  }
-}
-
 // ---- check-block kernels: the batched flooding decoder's phases ----
 
 std::vector<simd::Level> all_levels() {
@@ -132,8 +70,7 @@ void expect_block_matches_per_check(
         continue;  // a padded tail lane: its output is never read
       }
       std::vector<float> want(c.size());
-      simd::kernels_for(simd::Level::kScalar)
-          .cn_minsum(c.data(), want.data(), int(c.size()), scale);
+      simd::cn_minsum(c.data(), want.data(), int(c.size()), scale);
       std::vector<float> got(c.size());
       for (std::size_t j = 0; j < c.size(); ++j) {
         got[j] = r[j * kLanes + lane];
@@ -347,7 +284,6 @@ TEST(SimdKernels, Avx2KernelsReturnWithUpperYmmStateClean) {
   const std::vector<std::complex<float>> syms(kN, {0.3F, -0.7F});
   const float levels[2] = {-1.0F, 1.0F};
   const std::pair<const char*, std::function<void()>> calls[] = {
-      {"cn_minsum", [&] { k.cn_minsum(x.data(), y.data(), 11, 0.8F); }},
       {"cn_minsum_block",
        [&] { k.cn_minsum_block(x.data(), y.data(), 6, 0.8F); }},
       {"vn_update",

@@ -9,6 +9,10 @@
 // SIGKILL.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
+#include "core/real_orion.h"
 #include "testbed/real_testbed.h"
 
 namespace slingshot {
@@ -98,6 +102,62 @@ TEST(RealTestbed, ForkModeFailoverWithRealSigkill) {
   EXPECT_GT(result.outage_ns, 0);
   EXPECT_TRUE(
       ledgers_conform(result.ledger, run_sim_fault_plan(cfg.fault)));
+}
+
+// The relay counts the active PHY's silence only while a UL_TTI it
+// forwarded is unanswered. An L2 that sends nothing, which is what a
+// stall of the whole process looks like from the relay, must never make
+// a healthy PHY look dead; an unanswered UL_TTI must.
+TEST(RealOrionRelay, SilenceCountsOnlyWhileAUlTtiIsUnanswered) {
+  UdpEndpoint l2;
+  UdpEndpoint orion;
+  UdpEndpoint phy_a;
+  UdpEndpoint phy_b;
+  for (UdpEndpoint* ep : {&l2, &orion, &phy_a, &phy_b}) {
+    ASSERT_TRUE(ep->open_loopback());
+  }
+  RealOrionConfig oc;
+  oc.ru = RuId{1};
+  oc.l2_port = l2.port();
+  oc.phy_ports = {phy_a.port(), phy_b.port()};
+  oc.detect_timeout_ns = 2'000'000;
+  oc.pacer = {WallclockPacer::now_ns(), 500'000};
+  RealOrionRelay relay(oc, &orion, ShmRing::create(4096),
+                       ShmRing::create(4096),
+                       {ShmRing::create(4096), ShmRing::create(4096)},
+                       {ShmRing::create(4096), ShmRing::create(4096)});
+  const auto phy_a_speaks = [&] {
+    ASSERT_TRUE(phy_a.send_to(
+        orion.port(),
+        serialize_fapi(FapiMessage{RuId{1}, 0, SlotIndication{}})));
+    relay.poll_once(100);
+  };
+  const auto l2_sends_ul_tti = [&](std::int64_t slot) {
+    ASSERT_TRUE(l2.send_to(orion.port(),
+                           serialize_fapi(make_null_ul_tti(RuId{1}, slot))));
+    relay.poll_once(100);
+  };
+  const auto wait_past_timeout = [&] {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(
+        3 * oc.detect_timeout_ns / 2));
+    relay.poll_once(0);
+  };
+
+  phy_a_speaks();  // arms the detector
+  wait_past_timeout();
+  EXPECT_TRUE(relay.ledger().empty()) << "an idle L2 killed the PHY";
+
+  l2_sends_ul_tti(1);
+  phy_a_speaks();
+  wait_past_timeout();
+  EXPECT_TRUE(relay.ledger().empty()) << "an answered UL_TTI killed the PHY";
+
+  l2_sends_ul_tti(2);
+  wait_past_timeout();
+  ASSERT_EQ(relay.ledger().size(), 3U);
+  EXPECT_EQ(relay.ledger()[0].kind, EpisodeEventKind::kDetected);
+  EXPECT_EQ(relay.ledger()[0].phy, PhyId{1});
+  EXPECT_EQ(relay.active_phy(), PhyId{2});
 }
 
 }  // namespace
