@@ -67,17 +67,17 @@ int main(int argc, char** argv) {
   cfg.inproc = args.inproc;
   cfg.tti_ns = 500'000;
   cfg.run_slots = args.short_mode ? 160 : 800;
-  cfg.fault.kill_slot = cfg.run_slots / 3;
+  cfg.kills = {PhyKill{cfg.run_slots / 3, 0}};
   cfg.detect_timeout_ns = 2'000'000;
 
   std::printf("mode=%s slots=%lld tti=%lld us kill_slot=%lld detect=%lld us\n",
               cfg.inproc ? "inproc" : "fork", (long long)cfg.run_slots,
-              (long long)(cfg.tti_ns / 1000), (long long)cfg.fault.kill_slot,
+              (long long)(cfg.tti_ns / 1000), (long long)cfg.kills[0].slot,
               (long long)(cfg.detect_timeout_ns / 1000));
 
   RealRunResult result = RealTestbed{cfg}.run();
 
-  const auto sim_ledger = run_sim_fault_plan(cfg.fault);
+  const auto sim_ledger = run_sim_fault_plan(cfg.kills, cfg.num_phys);
   const bool conforms = ledgers_conform(result.ledger, sim_ledger);
 
   const double detection_ms = double(result.detection_ns) / 1e6;

@@ -8,12 +8,6 @@
 
 namespace slingshot {
 
-namespace {
-// An indication older than this many slots is not proof of life: it may
-// be a delayed datagram sent before the PHY actually died.
-constexpr std::int64_t kRehabFreshnessSlots = 8;
-}  // namespace
-
 // ---------------------------------------------------------------------
 // OrionPhySide
 // ---------------------------------------------------------------------
@@ -148,318 +142,28 @@ void OrionPhySide::on_fapi(FapiMessage&& msg) {
 }
 
 // ---------------------------------------------------------------------
-// OrionL2Side
+// OrionL2Side: the core's simulator adapter
 // ---------------------------------------------------------------------
 
 OrionL2Side::OrionL2Side(Simulator& sim, std::string name, Nic& nic,
                          OrionL2Config config)
-    : sim_(sim),
-      name_(std::move(name)),
+    : OrionCore(*this, name, config),
+      sim_(sim),
       nic_(nic),
-      config_(config),
-      jitter_rng_(sim.rng().stream("orion.l2." + name_)) {
+      costs_(config.costs),
+      switch_cmd_mac_(config.switch_cmd_mac),
+      jitter_rng_(sim.rng().stream("orion.l2." + name)) {
   nic_.set_rx_handler([this](Packet&& f) { handle_frame(std::move(f)); });
 }
 
-void OrionL2Side::add_phy_peer(PhyId phy, MacAddr orion_mac) {
-  phy_peers_[phy.value()] = orion_mac;
-}
-
-void OrionL2Side::set_ru_phys(RuId ru, PhyId primary, PhyId secondary) {
-  auto& state = rus_[ru.value()];
-  state.ru = ru;
-  state.primary = primary;
-  state.secondary = secondary;
-  state.previous_until_slot = -1;
-}
-
-void OrionL2Side::set_ru_primary(RuId ru, PhyId primary) {
-  pool_mode_ = true;
-  auto& state = rus_[ru.value()];
-  state.ru = ru;
-  state.primary = primary;
-  state.secondary = PhyId{};
-  state.previous_until_slot = -1;
-  const PhyId next = next_pool_standby();
-  if (next != PhyId{}) {
-    assign_standby(state, next);
-  }
-}
-
-void OrionL2Side::add_pool_standby(PhyId phy, MacAddr orion_mac) {
-  pool_mode_ = true;
-  add_phy_peer(phy, orion_mac);
-  bool known = false;
-  for (auto& m : pool_) {
-    if (m.id == phy) {
-      m.state = PoolState::kAvailable;  // revived member rejoins the pool
-      known = true;
-    }
-  }
-  if (!known) {
-    pool_.push_back(PoolMember{phy, PoolState::kAvailable});
-  }
-  notify_pool(PoolEvent::kRestored, phy);
-  // Deferred failovers first: an unprotected cell whose primary already
-  // died has been waiting for exactly this — give it a member and
-  // migrate now. Counted separately from notification-driven failovers
-  // so the notification identity stays an identity.
-  for (auto& [ru_value, state] : rus_) {
-    (void)ru_value;
-    if (state.secondary != PhyId{} || state.boundary.has_value()) {
-      continue;
-    }
-    if (state.failed_phy == PhyId{} || state.failed_phy != state.primary) {
-      continue;
-    }
-    const PhyId next = next_pool_standby();
-    if (next == PhyId{}) {
-      break;
-    }
-    assign_standby(state, next);
-    ++stats_.deferred_failovers_executed;
-    initiate_failover(state, sim_.now(), /*deferred=*/true);
-    consume_pool_member(next);
-  }
-  // Then refill empty secondary slots of cells whose primary is alive.
-  for (auto& [ru_value, state] : rus_) {
-    (void)ru_value;
-    if (state.secondary != PhyId{} || state.boundary.has_value()) {
-      continue;
-    }
-    if (state.failed_phy != PhyId{} && state.failed_phy == state.primary) {
-      continue;  // dead primary and pool already exhausted above
-    }
-    const PhyId next = next_pool_standby();
-    if (next == PhyId{}) {
-      break;
-    }
-    assign_standby(state, next);
-    ++stats_.standbys_reassigned;
-  }
-}
-
-std::size_t OrionL2Side::pool_available() const {
-  std::size_t n = 0;
-  for (const auto& m : pool_) {
-    n += m.state == PoolState::kAvailable ? 1 : 0;
-  }
-  return n;
-}
-
-PhyId OrionL2Side::next_pool_standby() const {
-  for (const auto& m : pool_) {
-    if (m.state != PoolState::kAvailable) {
-      continue;
-    }
-    // A member that is (or is becoming) a primary is not a standby,
-    // whatever its recorded state.
-    bool is_primary = false;
-    for (const auto& [ru_value, state] : rus_) {
-      (void)ru_value;
-      if (state.primary == m.id) {
-        is_primary = true;
-        break;
-      }
-    }
-    if (!is_primary) {
-      return m.id;
-    }
-  }
-  return PhyId{};
-}
-
-void OrionL2Side::assign_standby(RuState& state, PhyId phy) {
-  state.secondary = phy;
-  // The member may never have seen this RU's init sequence (§6.3) — a
-  // shared standby must hold PHY state for every cell it backs.
-  for (const auto& msg : state.init_messages) {
-    send_to_phy(phy, msg);
-  }
-  if (sim_.now() > 0) {
-    // A runtime assignment may hand us a cold member whose first
-    // heartbeat is an init replay + one TTI away — longer than the
-    // detector timeout. Arm its watch after the same grace period the
-    // testbed uses at boot, once its null-FAPI heartbeats flow.
-    sim_.after(5'000'000, [this, phy] { send_watch_cmd(phy); });
-  }
-  if (tap_ != nullptr) {
-    tap_->on_adopt(state.ru, phy);
-  }
-  SLS_TRACE_EVENT(sim_, obs::ObsEvent::kAdoptStandby, phy.value(),
-                  config_.slots.slot_at(sim_.now()));
-}
-
-void OrionL2Side::consume_pool_member(PhyId phy) {
-  if (!pool_mode_) {
-    return;
-  }
-  for (auto& m : pool_) {
-    if (m.id == phy && m.state == PoolState::kAvailable) {
-      m.state = PoolState::kConsumed;
-      notify_pool(PoolEvent::kConsumed, phy);
-    }
-  }
-  // Re-point every other RU backed by this member: it is now (becoming)
-  // someone's primary and can no longer absorb their failovers. RUs
-  // with a pending boundary keep their target — their own swap path
-  // resolves the slot.
-  for (auto& [ru_value, state] : rus_) {
-    (void)ru_value;
-    if (state.secondary != phy || state.boundary.has_value() ||
-        state.primary == phy) {
-      continue;
-    }
-    // The member keeps running (it is being promoted): stop the carriers
-    // of the RUs it no longer backs, or their FAPI-starvation watchdogs
-    // kill the whole process once the null feeds cease.
-    send_to_phy(phy, FapiMessage{state.ru, config_.slots.slot_at(sim_.now()),
-                                 StopRequest{state.ru}});
-    state.secondary = PhyId{};
-    const PhyId next = next_pool_standby();
-    if (next != PhyId{}) {
-      assign_standby(state, next);
-      ++stats_.standbys_reassigned;
-    } else {
-      SLOG_WARN("orion", "%s ru=%u standby pool exhausted: cell unprotected",
-                name_.c_str(), state.ru.value());
-      notify_pool(PoolEvent::kExhausted, phy);
-    }
-  }
-}
-
-PhyId OrionL2Side::active_phy(RuId ru) const {
-  const auto it = rus_.find(ru.value());
-  return it == rus_.end() ? PhyId{} : it->second.primary;
-}
-
-PhyId OrionL2Side::standby_phy(RuId ru) const {
-  const auto it = rus_.find(ru.value());
-  return it == rus_.end() ? PhyId{} : it->second.secondary;
-}
-
-std::pair<PhyId, PhyId> OrionL2Side::route_for_slot(RuState& state,
-                                                    std::int64_t slot) {
-  if (state.boundary.has_value() && slot >= *state.boundary) {
-    // The migration boundary is reached by the request stream: finalize
-    // the swap. The old active keeps draining pipelined responses for
-    // pre-boundary slots (Fig 7).
-    state.previous = state.primary;
-    state.previous_until_slot = *state.boundary;
-    state.swap_wall_slot = config_.slots.slot_at(sim_.now());
-    std::swap(state.primary, state.secondary);
-    const std::int64_t boundary = state.previous_until_slot;
-    state.boundary.reset();
-    if (pool_mode_ && state.secondary != PhyId{} &&
-        state.secondary == state.failed_phy) {
-      // Failover swap: the slot vacated by the dead primary is refilled
-      // from the shared pool (or left empty until a member returns).
-      state.secondary = PhyId{};
-      const PhyId next = next_pool_standby();
-      if (next != PhyId{}) {
-        assign_standby(state, next);
-        ++stats_.standbys_reassigned;
-      }
-    }
-    SLOG_INFO("orion", "%s FAPI switched to phy=%u from slot %lld",
-              name_.c_str(), state.primary.value(),
-              static_cast<long long>(slot));
-    if (tap_ != nullptr) {
-      tap_->on_swap_finalized(state.ru, slot, state.primary, boundary);
-    }
-    SLS_TRACE_EVENT(sim_, obs::ObsEvent::kSwapFinalized,
-                    state.primary.value(), boundary);
-  }
-  return {state.primary, state.secondary};
-}
-
-void OrionL2Side::on_fapi(FapiMessage&& msg) {
-  auto it = rus_.find(msg.ru.value());
-  if (it == rus_.end()) {
-    return;  // RU not managed by this Orion
-  }
-  auto& state = it->second;
-
-  switch (msg.type()) {
-    case FapiMsgType::kConfigRequest:
-    case FapiMsgType::kStartRequest: {
-      // Intercept and store initialization messages (§6.3); send to
-      // both the primary and the hot standby.
-      state.init_messages.push_back(msg);
-      send_to_phy(state.primary, msg);
-      if (state.secondary != state.failed_phy) {
-        send_to_phy(state.secondary, msg);
-      }
-      return;
-    }
-    case FapiMsgType::kStopRequest: {
-      send_to_phy(state.primary, msg);
-      if (state.secondary != state.failed_phy) {
-        send_to_phy(state.secondary, msg);
-      }
-      return;
-    }
-    case FapiMsgType::kDlTtiRequest: {
-      const auto [real, standby] = route_for_slot(state, msg.slot);
-      ++stats_.real_requests_forwarded;
-      send_to_phy(real, msg);
-      if (standby == state.failed_phy || standby == PhyId{}) {
-        // Consumed by a failover (or the pool is exhausted): nothing
-        // flows to it until a replacement standby is adopted.
-        return;
-      }
-      if (config_.standby_mode == StandbyMode::kDuplicate) {
-        send_to_phy(standby, msg);  // strawman: standby does real work
-      } else {
-        const auto null_msg = make_null_dl_tti(msg.ru, msg.slot);
-        ++stats_.null_requests_sent;
-        stats_.fapi_bytes_to_standby += serialized_fapi_size(null_msg);
-        send_to_phy(standby, null_msg);
-      }
-      return;
-    }
-    case FapiMsgType::kUlTtiRequest: {
-      const auto [real, standby] = route_for_slot(state, msg.slot);
-      ++stats_.real_requests_forwarded;
-      SLS_TRACE_STAGE(sim_, obs::SlotStage::kOrionForward, msg.ru.value(),
-                      msg.slot);
-      send_to_phy(real, msg);
-      if (standby == state.failed_phy || standby == PhyId{}) {
-        return;
-      }
-      if (config_.standby_mode == StandbyMode::kDuplicate) {
-        send_to_phy(standby, msg);
-      } else {
-        const auto null_msg = make_null_ul_tti(msg.ru, msg.slot);
-        ++stats_.null_requests_sent;
-        stats_.fapi_bytes_to_standby += serialized_fapi_size(null_msg);
-        send_to_phy(standby, null_msg);
-      }
-      return;
-    }
-    case FapiMsgType::kTxDataRequest: {
-      const auto [real, standby] = route_for_slot(state, msg.slot);
-      ++stats_.real_requests_forwarded;
-      send_to_phy(real, msg);
-      if (config_.standby_mode == StandbyMode::kDuplicate &&
-          standby != state.failed_phy) {
-        send_to_phy(standby, msg);
-      }
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-void OrionL2Side::send_to_phy(PhyId phy, const FapiMessage& msg) {
+void OrionL2Side::to_phy(PhyId phy, const FapiMessage& msg) {
   const auto peer = phy_peers_.find(phy.value());
   if (peer == phy_peers_.end()) {
     return;
   }
   auto payload = BufferPools::instance().bytes.acquire();
   serialize_fapi_into(msg, payload);
-  const auto delay = config_.costs.sample(payload.size(), jitter_rng_);
+  const auto delay = costs_.sample(payload.size(), jitter_rng_);
   const MacAddr dst = peer->second;
   sim_.after(delay, [this, dst, p = std::move(payload)]() mutable {
     Packet frame;
@@ -470,328 +174,19 @@ void OrionL2Side::send_to_phy(PhyId phy, const FapiMessage& msg) {
   });
 }
 
-void OrionL2Side::handle_frame(Packet&& frame) {
-  switch (frame.eth.ethertype) {
-    case EtherType::kFapiTransport: {
-      // Identify the sending PHY by its Orion peer MAC.
-      PhyId from;
-      bool known = false;
-      for (const auto& [phy, mac] : phy_peers_) {
-        if (mac == frame.eth.src) {
-          from = PhyId{phy};
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        return;
-      }
-      FapiMessage msg;
-      const char* error = nullptr;
-      if (try_parse_fapi(frame.payload, msg, &error)) {
-        handle_phy_indication(from, std::move(msg));
-      } else {
-        // Corrupt indication: count it and tell the L2 (the stack above
-        // treats ERROR.indication as advisory; the HARQ machinery
-        // retransmits whatever the lost indication acknowledged).
-        ++stats_.parse_errors;
-        SLOG_WARN("orion", "%s dropped unparseable indication from phy %u: %s",
-                  name_.c_str(), from.value(), error);
-        if (to_l2_ != nullptr) {
-          to_l2_->send(FapiMessage{
-              RuId{}, 0,
-              ErrorIndication{kFapiMsgCorrupt,
-                              FapiMsgType::kErrorIndication}});
-        }
-      }
-      BufferPools::instance().bytes.release(std::move(frame.payload));
-      return;
-    }
-    case EtherType::kFailureNotify: {
-      if (!frame.payload.empty()) {
-        ++stats_.failure_notifications;
-        SLS_TRACE_EVENT(sim_, obs::ObsEvent::kNotifyReceived,
-                        frame.payload[0],
-                        config_.slots.slot_at(sim_.now()));
-        handle_failure_notification(PhyId{frame.payload[0]});
-      }
-      return;
-    }
-    default:
-      return;
+void OrionL2Side::to_l2(FapiMessage&& msg) {
+  if (to_l2_ != nullptr) {
+    to_l2_->send(std::move(msg));
   }
 }
 
-void OrionL2Side::handle_phy_indication(PhyId from, FapiMessage&& msg) {
-  const auto it = rus_.find(msg.ru.value());
-  if (it == rus_.end() || to_l2_ == nullptr) {
-    return;
-  }
-  auto& state = it->second;
-
-  // Close the Fig 7 drain window: the pipeline is only a couple of
-  // slots deep, so responses from the old primary arriving long after
-  // the swap are stale — expire the route state rather than letting a
-  // later migration back to the same PHY wrongly accept them.
-  if (state.previous_until_slot >= 0 && state.swap_wall_slot >= 0 &&
-      config_.slots.slot_at(sim_.now()) >=
-          state.swap_wall_slot + config_.drain_window_slots) {
-    ++stats_.drain_windows_expired;
-    SLS_TRACE_EVENT(sim_, obs::ObsEvent::kDrainExpired,
-                    state.previous.value(), state.previous_until_slot);
-    state.previous = PhyId{};
-    state.previous_until_slot = -1;
-    state.swap_wall_slot = -1;
-  }
-
-  // False-positive failover recovery: a *fresh* indication from the PHY
-  // we failed away from proves the process is alive — the switch
-  // detector tripped on lost heartbeats, not a dead PHY. Refill the
-  // standby slot (its keepalive feed resumes) instead of starving a
-  // healthy process to death. Staleness-guarded so delayed datagrams
-  // from before a real crash cannot resurrect a corpse.
-  if (state.failed_phy == from &&
-      config_.slots.slot_at(sim_.now()) - msg.slot <= kRehabFreshnessSlots) {
-    for (auto& [other_ru, other_state] : rus_) {
-      if (other_state.failed_phy == from) {
-        other_state.failed_phy = PhyId{};
-        ++stats_.rehabilitations;
-        if (tap_ != nullptr) {
-          tap_->on_rehabilitate(RuId{other_ru}, from);
-        }
-        SLS_TRACE_EVENT(sim_, obs::ObsEvent::kRehabilitated, from.value(),
-                        msg.slot);
-      }
-    }
-    SLOG_WARN("orion",
-              "%s false-positive failover: phy %u is alive, standby feed "
-              "resumes",
-              name_.c_str(), from.value());
-  }
-
-  bool forward = false;
-  bool drained = false;
-  if (from == state.primary) {
-    forward = true;
-  } else if (from == state.previous && state.previous_until_slot >= 0 &&
-             msg.slot < state.previous_until_slot) {
-    // Pipelined uplink results from the pre-migration primary (Fig 7).
-    forward = true;
-    drained = true;
-  }
-
-  if (tap_ != nullptr) {
-    tap_->on_indication(from, msg, forward, drained,
-                        state.previous_until_slot);
-  }
-  if (!forward) {
-    ++stats_.standby_responses_dropped;
-    return;
-  }
-  if (drained) {
-    ++stats_.drained_responses_accepted;
-    SLS_TRACE_EVENT(sim_, obs::ObsEvent::kDrainAccepted, from.value(),
-                    msg.slot);
-  }
-  ++stats_.responses_forwarded;
-  to_l2_->send(std::move(msg));
-}
-
-void OrionL2Side::migrate(RuId ru, std::int64_t boundary_slot) {
-  auto it = rus_.find(ru.value());
-  if (it == rus_.end()) {
-    return;
-  }
-  auto& state = it->second;
-  state.boundary = boundary_slot;
-  send_migrate_cmd(ru, state.secondary, boundary_slot);
-  MigrationEvent event;
-  event.kind = MigrationEvent::Kind::kPlanned;
-  event.ru = ru;
-  event.from = state.primary;
-  event.to = state.secondary;
-  event.boundary_slot = boundary_slot;
-  event.initiated_at = sim_.now();
-  migration_log_.push_back(event);
-  if (tap_ != nullptr) {
-    tap_->on_migration(event);
-  }
-  SLS_TRACE_EVENT(sim_, obs::ObsEvent::kPlannedMigration,
-                  state.secondary.value(), boundary_slot);
-  SLOG_INFO("orion", "%s planned migration ru=%u phy %u -> %u at slot %lld",
-            name_.c_str(), ru.value(), state.primary.value(),
-            state.secondary.value(), static_cast<long long>(boundary_slot));
-}
-
-void OrionL2Side::initiate_failover(RuState& state, Nanos notified_at,
-                                    bool deferred) {
-  // Pick the earliest boundary that the request stream has not yet
-  // passed, and steer both the FAPI and the fronthaul there.
-  const auto current = config_.slots.slot_at(sim_.now());
-  const std::int64_t boundary = current + config_.failover_margin_slots;
-  state.boundary = boundary;
-  send_migrate_cmd(state.ru, state.secondary, boundary);
-  MigrationEvent event;
-  event.kind = MigrationEvent::Kind::kFailover;
-  event.ru = state.ru;
-  event.from = state.primary;
-  event.to = state.secondary;
-  event.boundary_slot = boundary;
-  event.initiated_at = sim_.now();
-  event.notification_at = notified_at;
-  migration_log_.push_back(event);
-  if (tap_ != nullptr) {
-    tap_->on_migration(event);
-  }
-  SLS_TRACE_EVENT(sim_, obs::ObsEvent::kFailoverInitiated,
-                  state.failed_phy.value(), boundary);
-  SLOG_WARN("orion",
-            "%s %sFAILOVER ru=%u phy %u -> %u at slot %lld (notified %.3f ms)",
-            name_.c_str(), deferred ? "DEFERRED " : "",
-            state.ru.value(), state.primary.value(),
-            state.secondary.value(), static_cast<long long>(boundary),
-            to_millis(notified_at));
-  if (on_failover_) {
-    on_failover_(event);
-  }
-}
-
-void OrionL2Side::handle_failure_notification(PhyId failed) {
-  const Nanos notified_at = sim_.now();
-  bool any_failover = false;
-  bool any_duplicate = false;
-  bool any_unprotected = false;
-  std::vector<PhyId> promoted;
-  for (auto& [ru_value, state] : rus_) {
-    (void)ru_value;
-    // A notification for a phy this RU already failed away from is a
-    // re-delivery of a finished episode, not a new failure.
-    if (state.failed_phy == failed) {
-      any_duplicate = true;
-    }
-    if (state.primary != failed) {
-      continue;
-    }
-    // Idempotence: the switch (or the network) can deliver the same
-    // notification more than once. A failover for this RU is already
-    // pending — re-running it would move the boundary later and log a
-    // duplicate MigrationEvent.
-    if (state.boundary.has_value()) {
-      any_duplicate = true;
-      continue;
-    }
-    if (state.failed_phy == failed) {
-      continue;  // re-delivered unprotected episode, counted above
-    }
-    if (state.secondary == PhyId{}) {
-      // Pool exhausted at failure time: enter the explicit unprotected
-      // state. No stale swap — the cell stays down until
-      // add_pool_standby supplies a member and executes the deferred
-      // failover.
-      state.failed_phy = failed;
-      any_unprotected = true;
-      SLOG_WARN("orion",
-                "%s ru=%u UNPROTECTED: primary phy %u failed with the "
-                "standby pool exhausted",
-                name_.c_str(), state.ru.value(), failed.value());
-      notify_pool(PoolEvent::kExhausted, failed);
-      continue;
-    }
-    any_failover = true;
-    state.failed_phy = failed;
-    if (std::find(promoted.begin(), promoted.end(), state.secondary) ==
-        promoted.end()) {
-      promoted.push_back(state.secondary);
-    }
-    initiate_failover(state, notified_at, /*deferred=*/false);
-  }
-  // A promotion consumes the pool member: every other RU backed by it
-  // is re-pointed (next member or unprotected), never left aimed at a
-  // standby that is becoming someone's primary.
-  for (const PhyId p : promoted) {
-    consume_pool_member(p);
-  }
-  if (any_failover) {
-    ++stats_.failovers_initiated;
-    // Stop the switch from watching the consumed PHY: stray heartbeats
-    // from a half-dead process must not re-arm its failure detector.
-    send_unwatch_cmd(failed);
-    // The detector must keep covering whoever now serves the RU — the
-    // promoted standby may have been unwatched by an earlier episode.
-    for (const PhyId p : promoted) {
-      send_watch_cmd(p);
-    }
-    return;
-  }
-  if (any_unprotected) {
-    ++stats_.unprotected_notifications;
-    return;
-  }
-  if (any_duplicate) {
-    ++stats_.duplicate_notifications_ignored;
-    return;
-  }
-  // Pool mode only: the dead PHY may be a *standby* (primary nowhere).
-  // Mark the member dead and re-point every RU it backed — including a
-  // mid-consume target (an RU with a pending boundary aimed at it),
-  // which is redirected to the next member or falls back unprotected.
-  if (pool_mode_) {
-    bool standby_hit = false;
-    for (auto& m : pool_) {
-      if (m.id == failed && m.state != PoolState::kDead) {
-        m.state = PoolState::kDead;
-        standby_hit = true;
-        notify_pool(PoolEvent::kMemberDead, failed);
-      }
-    }
-    for (auto& [rv, state] : rus_) {
-      (void)rv;
-      if (state.secondary != failed || state.primary == failed) {
-        continue;
-      }
-      standby_hit = true;
-      state.secondary = PhyId{};
-      const PhyId next = next_pool_standby();
-      if (state.boundary.has_value()) {
-        // The failover target itself died before the swap: redirect the
-        // pending migration — never swap onto a corpse.
-        state.boundary.reset();
-        if (next != PhyId{}) {
-          assign_standby(state, next);
-          ++stats_.standbys_reassigned;
-          initiate_failover(state, notified_at, /*deferred=*/false);
-          consume_pool_member(next);
-        } else {
-          SLOG_WARN("orion",
-                    "%s ru=%u UNPROTECTED: failover target phy %u died "
-                    "mid-consume with the pool exhausted",
-                    name_.c_str(), state.ru.value(), failed.value());
-        }
-      } else if (next != PhyId{}) {
-        assign_standby(state, next);
-        ++stats_.standbys_reassigned;
-      }
-    }
-    if (standby_hit) {
-      ++stats_.standby_failures;
-      return;
-    }
-  }
-  ++stats_.stale_notifications_ignored;
-}
-
-void OrionL2Side::send_migrate_cmd(RuId ru, PhyId dest,
-                                   std::int64_t boundary_slot) {
-  MigrateOnSlotCmd cmd;
-  cmd.ru = ru;
-  cmd.dest_phy = dest;
-  cmd.slot = SlotPoint::from_index(boundary_slot, config_.slots);
+void OrionL2Side::to_switch(std::vector<std::uint8_t>&& cmd, Nanos delay) {
   Packet frame;
-  frame.eth.dst = config_.switch_cmd_mac;
+  frame.eth.dst = switch_cmd_mac_;
   frame.eth.ethertype = EtherType::kSlingshotCmd;
-  frame.payload = serialize_migrate_cmd(cmd);
-  if (config_.cmd_extra_delay > 0) {
-    sim_.after(config_.cmd_extra_delay, [this, f = std::move(frame)]() mutable {
+  frame.payload = std::move(cmd);
+  if (delay > 0) {
+    sim_.after(delay, [this, f = std::move(frame)]() mutable {
       nic_.send(std::move(f));
     });
   } else {
@@ -799,57 +194,32 @@ void OrionL2Side::send_migrate_cmd(RuId ru, PhyId dest,
   }
 }
 
-void OrionL2Side::send_unwatch_cmd(PhyId phy) {
-  Packet frame;
-  frame.eth.dst = config_.switch_cmd_mac;
-  frame.eth.ethertype = EtherType::kSlingshotCmd;
-  frame.payload = serialize_unwatch_cmd(UnwatchPhyCmd{phy});
-  nic_.send(std::move(frame));
-}
-
-void OrionL2Side::send_watch_cmd(PhyId phy) {
-  Packet frame;
-  frame.eth.dst = config_.switch_cmd_mac;
-  frame.eth.ethertype = EtherType::kSlingshotCmd;
-  frame.payload = serialize_watch_cmd(WatchPhyCmd{phy});
-  nic_.send(std::move(frame));
-}
-
-void OrionL2Side::adopt_standby(RuId ru, PhyId phy, MacAddr orion_mac) {
-  auto it = rus_.find(ru.value());
-  if (it == rus_.end()) {
-    return;
-  }
-  add_phy_peer(phy, orion_mac);
-  auto& state = it->second;
-  state.secondary = phy;
-  state.failed_phy = PhyId{};  // episode over: the slot is filled again
-  // Replay the stored initialization sequence so the new standby brings
-  // up PHY processing for this RU (§6.3).
-  for (const auto& msg : state.init_messages) {
-    send_to_phy(phy, msg);
-  }
-  if (tap_ != nullptr) {
-    tap_->on_adopt(ru, phy);
-  }
-  SLS_TRACE_EVENT(sim_, obs::ObsEvent::kAdoptStandby, phy.value(),
-                  config_.slots.slot_at(sim_.now()));
-  SLOG_INFO("orion", "%s adopted new standby phy=%u for ru=%u", name_.c_str(),
-            phy.value(), ru.value());
-}
-
-void OrionL2Side::adopt_standby_all(PhyId phy, MacAddr orion_mac) {
-  if (pool_mode_) {
-    add_pool_standby(phy, orion_mac);
-    return;
-  }
-  // A PHY can be the standby of several RUs; each needs its own init
-  // replay (the old per-RU adopt silently left the others cold).
-  for (auto& [ru_value, state] : rus_) {
-    if (state.secondary == phy || state.failed_phy == phy) {
-      adopt_standby(RuId{ru_value}, phy, orion_mac);
+void OrionL2Side::handle_frame(Packet&& frame) {
+  if (frame.eth.ethertype == EtherType::kFailureNotify) {
+    if (!frame.payload.empty()) {
+      on_failure_notification(PhyId{frame.payload[0]});
     }
+    return;
   }
+  if (frame.eth.ethertype != EtherType::kFapiTransport) {
+    return;
+  }
+  // Identify the sending PHY by its Orion peer MAC.
+  const auto peer = std::find_if(
+      phy_peers_.begin(), phy_peers_.end(),
+      [&](const auto& entry) { return entry.second == frame.eth.src; });
+  if (peer == phy_peers_.end()) {
+    return;
+  }
+  const PhyId from{peer->first};
+  FapiMessage msg;
+  const char* error = nullptr;
+  if (!try_parse_fapi(frame.payload, msg, &error)) {
+    on_parse_error(from, error);
+  } else if (to_l2_ != nullptr) {
+    on_phy_indication(from, std::move(msg));
+  }
+  BufferPools::instance().bytes.release(std::move(frame.payload));
 }
 
 }  // namespace slingshot

@@ -1,59 +1,28 @@
-// Orion: Slingshot's software middlebox between the L2 and PHY (§6).
+// Orion: Slingshot's software middlebox between the L2 and PHY (§6),
+// as simulator components.
 //
 // Orion comes in two halves. The *PHY-side* Orion pairs with a PHY
 // process over SHM and relays FAPI to/from the datacenter network using
 // a lean stateless UDP-like transport (§6.1). The *L2-side* Orion pairs
-// with the L2, and is where all the intelligence lives:
-//
-//  * Hot standby via null FAPI (§6.2): every real UL_TTI/DL_TTI the L2
-//    emits is forwarded unmodified to the active PHY, while a *null*
-//    request for the same slot keeps the standby PHY alive at
-//    negligible compute cost. Standby responses are filtered out.
-//  * Initialization interception (§6.3): CONFIG/START requests are
-//    stored and replayed to both PHYs (and to any future replacement
-//    standby).
-//  * Migration: swapping which PHY receives real vs null FAPI at a slot
-//    boundary B, plus a migrate_on_slot command to the fronthaul
-//    middlebox so the RU's traffic moves at exactly the same boundary.
-//  * Pipelined-slot draining (§7, Fig 7): indications from the old
-//    primary for slots before B are still accepted and forwarded to the
-//    L2 after migration, so in-flight uplink work is not wasted.
-//  * Failover: a failure notification from the in-switch detector
-//    triggers the same migration path with the standby as the target.
+// with the L2 and makes every decision: hot standby via null FAPI, init
+// interception and replay, migration and failover at a slot boundary,
+// and the Fig 7 drain. Those decisions live in the I/O-free OrionCore
+// (core/orion_core.h); OrionL2Side below is only its simulator adapter,
+// and real mode drives the same core through RealOrionRelay.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/types.h"
 #include "core/fh_mbox.h"
+#include "core/orion_core.h"
 #include "fapi/channel.h"
-#include "fapi/fapi.h"
 #include "net/nic.h"
 #include "sim/simulator.h"
 
 namespace slingshot {
-
-// Forwarding-cost model for Orion's transport (DPDK busy-polling in the
-// paper): a fixed per-message cost plus a per-byte copy/serialize cost
-// and an exponential tail. Reproduces the Fig 12 latency-vs-load shape.
-struct OrionCostModel {
-  Nanos base = 3'000;            // 3 µs fixed
-  double per_byte_ns = 0.08;     // ~12 GB/s copy + serialize
-  Nanos tail_mean = 1'500;       // exponential jitter tail
-  double tail_per_byte_ns = 0.04;
-
-  [[nodiscard]] Nanos sample(std::size_t bytes, RngStream& rng) const {
-    const double mean =
-        double(tail_mean) + tail_per_byte_ns * double(bytes);
-    return base + Nanos(per_byte_ns * double(bytes)) +
-           Nanos(rng.exponential(mean));
-  }
-};
 
 // ---------------------------------------------------------------------
 // PHY-side Orion: SHM <-> network relay.
@@ -135,265 +104,65 @@ class OrionPhySide final : public FapiSink {
 };
 
 // ---------------------------------------------------------------------
-// L2-side Orion.
+// L2-side Orion, simulator adapter: Nic rx, FAPI framing, the PhyId ->
+// peer MAC map and the forwarding-cost model around one OrionCore,
+// whose decisions and public API it inherits unchanged.
 // ---------------------------------------------------------------------
-// How the standby PHY is kept alive. kNullFapi is Slingshot's design
-// (§6.2); kDuplicate is the strawman the paper rejects — it doubles the
-// PHY compute bill (quantified in bench/abl_standby_modes).
-enum class StandbyMode : std::uint8_t { kNullFapi, kDuplicate };
-
-struct OrionL2Config {
-  SlotConfig slots{};
-  StandbyMode standby_mode = StandbyMode::kNullFapi;
-  // Failover migration boundary margin: B = current_slot + margin.
-  int failover_margin_slots = 2;
-  // Fig 7 drain window: responses from the pre-migration primary are
-  // accepted for this many slots after the swap, then the route state
-  // expires (stale pipelines must not leak into later migrations).
-  int drain_window_slots = 8;
-  OrionCostModel costs{};
-  MacAddr switch_cmd_mac = MacAddr::broadcast();  // migrate_on_slot dst
-  // ABLATION: artificial delay before the migrate_on_slot command takes
-  // effect — models the naive design where the RU-to-PHY remap is a
-  // switch *control-plane* rule update (milliseconds, §5.1) instead of
-  // a data-plane register write.
-  Nanos cmd_extra_delay = 0;
-};
-
-struct MigrationEvent {
-  enum class Kind { kPlanned, kFailover };
-  Kind kind = Kind::kPlanned;
-  RuId ru;
-  PhyId from;
-  PhyId to;
-  std::int64_t boundary_slot = 0;
-  Nanos initiated_at = 0;       // when Orion decided to migrate
-  Nanos notification_at = 0;    // failure notification arrival (failover)
-};
-
-// Observation tap for the L2-side Orion (src/inject's InvariantChecker
-// attaches here). Pure observer.
-class OrionL2Tap {
- public:
-  virtual ~OrionL2Tap() = default;
-  // An indication from PHY `from` was forwarded to the L2 (or dropped).
-  // `drained` means it was accepted from the pre-migration primary via
-  // the Fig 7 drain path; `drain_boundary` is that path's slot bound.
-  virtual void on_indication(PhyId /*from*/, const FapiMessage& /*msg*/,
-                             bool /*forwarded*/, bool /*drained*/,
-                             std::int64_t /*drain_boundary*/) {}
-  // A migration (planned or failover) was initiated.
-  virtual void on_migration(const MigrationEvent& /*event*/) {}
-  // The request stream crossed the boundary; FAPI routing swapped.
-  virtual void on_swap_finalized(RuId /*ru*/, std::int64_t /*slot*/,
-                                 PhyId /*new_primary*/,
-                                 std::int64_t /*boundary_slot*/) {}
-  // A replacement standby was adopted (§6.3 init replay).
-  virtual void on_adopt(RuId /*ru*/, PhyId /*phy*/) {}
-  // A failed-over PHY proved itself alive (fresh indications after the
-  // failure notification): the detection was a false positive and its
-  // standby keepalive feed resumes.
-  virtual void on_rehabilitate(RuId /*ru*/, PhyId /*phy*/) {}
-};
-
-struct OrionL2Stats {
-  std::uint64_t real_requests_forwarded = 0;
-  std::uint64_t null_requests_sent = 0;
-  std::uint64_t responses_forwarded = 0;
-  std::uint64_t standby_responses_dropped = 0;
-  std::uint64_t drained_responses_accepted = 0;  // Fig 7 pipeline drain
-  // Every kFailureNotify frame increments failure_notifications, and
-  // exactly one of the three outcome counters below — so
-  //   failure_notifications == failovers_initiated
-  //                          + duplicate_notifications_ignored
-  //                          + stale_notifications_ignored
-  // holds at all times (asserted by bench/abl_fault_matrix). Before this
-  // split, duplicate deliveries (the PR 1 idempotence path) inflated
-  // failure_notifications with no way to tell real failovers apart.
-  std::uint64_t failure_notifications = 0;
-  std::uint64_t failovers_initiated = 0;
-  // Re-delivered notification for an episode still pending or already
-  // executed (boundary set, or the phy is a known-failed standby slot).
-  std::uint64_t duplicate_notifications_ignored = 0;
-  // Notification for a phy that is primary nowhere and part of no
-  // episode (e.g. raced with a planned migration).
-  std::uint64_t stale_notifications_ignored = 0;
-  // Fig 7 drain windows that expired with route state still held.
-  std::uint64_t drain_windows_expired = 0;
-  std::uint64_t rehabilitations = 0;  // false-positive failovers rescinded
-  std::uint64_t fapi_bytes_to_standby = 0;  // §8.5 network overhead
-  // Datagrams from a PHY peer that failed try_parse_fapi (each also
-  // raised an ERROR.indication toward the L2).
-  std::uint64_t parse_errors = 0;
-  // ---- Standby-pool (N+K) extensions. All zero when the pool is
-  // unused, so the three-way identity above is unchanged for legacy
-  // configs; with a pool the full identity is
-  //   failure_notifications == failovers_initiated
-  //                          + duplicate_notifications_ignored
-  //                          + stale_notifications_ignored
-  //                          + unprotected_notifications
-  //                          + standby_failures.
-  // Notification for a primary whose pool is exhausted: the cell enters
-  // an explicit "unprotected" state (no stale swap) until a standby is
-  // added back, which then executes the failover.
-  std::uint64_t unprotected_notifications = 0;
-  // Notification for a PHY that is a pool standby (primary nowhere):
-  // the member is marked dead and the RUs it backed are re-pointed.
-  std::uint64_t standby_failures = 0;
-  // Secondary slots refilled from the pool (after a member was consumed
-  // by a promotion or died).
-  std::uint64_t standbys_reassigned = 0;
-  // Failovers executed when a standby arrived for an already-dead,
-  // unprotected primary (counted here, not in failovers_initiated, so
-  // the notification identity stays an identity).
-  std::uint64_t deferred_failovers_executed = 0;
-};
-
-class OrionL2Side final : public FapiSink {
+class OrionL2Side final : private OrionPort,
+                          public OrionCore,
+                          public FapiSink {
  public:
   OrionL2Side(Simulator& sim, std::string name, Nic& nic,
               OrionL2Config config);
+  // The core and the NIC's rx handler hold this adapter: no copies.
+  OrionL2Side(const OrionL2Side&) = delete;
+  OrionL2Side& operator=(const OrionL2Side&) = delete;
 
   // ---- Wiring ----
   // SHM pipe toward the local L2 (indications travel through it).
   void connect_l2(ShmFapiPipe* to_l2) { to_l2_ = to_l2; }
   // Register a PHY-side Orion peer.
-  void add_phy_peer(PhyId phy, MacAddr orion_mac);
-  // Configure which PHYs serve an RU (fixed primary/secondary pair).
-  void set_ru_phys(RuId ru, PhyId primary, PhyId secondary);
-
-  // ---- Shared standby pool (N primaries backed by K hot standbys) ----
-  // The paper's deployment note: secondaries need no dedicated servers —
-  // one hot standby can back several primaries. Registering an RU with
-  // set_ru_primary (instead of set_ru_phys) draws its secondary from the
-  // pool; pool members are shared across RUs until a failover *consumes*
-  // one (promotes it to primary), at which point every other RU backed
-  // by it is re-pointed at the next available member — or enters an
-  // explicit "unprotected" state if the pool is exhausted. Never a
-  // stale swap onto an already-consumed standby.
-  void add_pool_standby(PhyId phy, MacAddr orion_mac);
-  void set_ru_primary(RuId ru, PhyId primary);
-  [[nodiscard]] bool pool_mode() const { return pool_mode_; }
-  // Pool members currently available as failover targets.
-  [[nodiscard]] std::size_t pool_available() const;
-
-  // ---- FapiSink: requests arriving from the local L2 over SHM ----
-  void on_fapi(FapiMessage&& msg) override;
-
-  // ---- Migration control (§6.3) ----
-  // Planned migration of `ru` to its standby at slot `boundary`.
-  void migrate(RuId ru, std::int64_t boundary_slot);
-  // Replay stored init messages to a (new) standby PHY peer — used to
-  // bring up a replacement secondary after a failover consumed the old
-  // one.
-  void adopt_standby(RuId ru, PhyId phy, MacAddr orion_mac);
-  // Adopt a revived PHY as standby for *every* RU it backed (secondary
-  // or failed slot) — a PHY can be the standby of several RUs, and each
-  // needs its own init replay. In pool mode this returns the PHY to the
-  // pool, which also executes any deferred failovers for unprotected
-  // cells whose primary already died.
-  void adopt_standby_all(PhyId phy, MacAddr orion_mac);
-
-  // Notification hook for experiments (called on failover initiation).
-  void set_on_failover(std::function<void(const MigrationEvent&)> callback) {
-    on_failover_ = std::move(callback);
+  void add_phy_peer(PhyId phy, MacAddr orion_mac) {
+    phy_peers_[phy.value()] = orion_mac;
+  }
+  // The core's pool and adopt calls, registering the peer's MAC first.
+  void add_pool_standby(PhyId phy, MacAddr orion_mac) {
+    add_phy_peer(phy, orion_mac);
+    OrionCore::add_pool_standby(phy);
+  }
+  void adopt_standby(RuId ru, PhyId phy, MacAddr orion_mac) {
+    add_phy_peer(phy, orion_mac);
+    OrionCore::adopt_standby(ru, phy);
+  }
+  void adopt_standby_all(PhyId phy, MacAddr orion_mac) {
+    add_phy_peer(phy, orion_mac);
+    OrionCore::adopt_standby_all(phy);
   }
 
-  // ---- Pool lifecycle observation ----
-  // Fired synchronously inside the Orion event that changed the pool —
-  // an external pool manager (the shard coordinator of
-  // core/shard_coord.h) mirrors the island's inventory from these
-  // without polling. Observers must not mutate the Orion re-entrantly.
-  enum class PoolEvent : std::uint8_t {
-    kConsumed,    // failover promoted the member to someone's primary
-    kExhausted,   // a cell needed a member and none was available
-    kMemberDead,  // the standby itself failed
-    kRestored,    // a member (re)joined via add_pool_standby
-  };
-  using PoolObserver = std::function<void(PoolEvent, PhyId)>;
-  void set_pool_observer(PoolObserver observer) {
-    pool_observer_ = std::move(observer);
-  }
+  // FapiSink: requests arriving from the local L2 over SHM.
+  void on_fapi(FapiMessage&& msg) override { on_l2_request(std::move(msg)); }
 
-  // Attach an observation tap (invariant checking); nullptr detaches.
-  void set_tap(OrionL2Tap* tap) { tap_ = tap; }
-
-  [[nodiscard]] PhyId active_phy(RuId ru) const;
-  [[nodiscard]] PhyId standby_phy(RuId ru) const;
-  [[nodiscard]] const OrionL2Stats& stats() const { return stats_; }
-  [[nodiscard]] const std::vector<MigrationEvent>& migration_log() const {
-    return migration_log_;
-  }
   [[nodiscard]] MacAddr mac() const { return nic_.mac(); }
 
  private:
-  struct RuState {
-    RuId ru;
-    PhyId primary;
-    PhyId secondary;
-    // Pending migration: requests for slots >= boundary go to `target`.
-    std::optional<std::int64_t> boundary;
-    PhyId target;
-    // Previous primary (accepts drained responses for slots < boundary
-    // for a short window after migration). Expires drain_window_slots
-    // after the swap.
-    PhyId previous;
-    std::int64_t previous_until_slot = -1;
-    std::int64_t swap_wall_slot = -1;  // wall slot the swap finalized at
-    // A failover consumed this PHY; it gets no FAPI (not even nulls)
-    // until adopt_standby replaces or re-adopts it (§6.3).
-    PhyId failed_phy;
-    // Stored initialization messages for standby replay (§6.3).
-    std::vector<FapiMessage> init_messages;
-  };
-
-  // Shared-pool member lifecycle: available → consumed (promoted to
-  // primary by a failover) or dead (the standby itself failed). A
-  // revived PHY re-enters as available via add_pool_standby.
-  enum class PoolState : std::uint8_t { kAvailable, kConsumed, kDead };
-  struct PoolMember {
-    PhyId id;
-    PoolState state = PoolState::kAvailable;
-  };
+  // OrionPort
+  [[nodiscard]] Nanos now() const override { return sim_.now(); }
+  [[nodiscard]] obs::Observability* obs() const override {
+    return sim_.obs();
+  }
+  void to_phy(PhyId phy, const FapiMessage& msg) override;
+  void to_l2(FapiMessage&& msg) override;
+  void to_switch(std::vector<std::uint8_t>&& cmd, Nanos delay) override;
 
   void handle_frame(Packet&& frame);
-  void handle_failure_notification(PhyId failed);
-  void handle_phy_indication(PhyId from, FapiMessage&& msg);
-  void send_to_phy(PhyId phy, const FapiMessage& msg);
-  void send_migrate_cmd(RuId ru, PhyId dest, std::int64_t boundary_slot);
-  void send_unwatch_cmd(PhyId phy);
-  void send_watch_cmd(PhyId phy);
-  // Resolve who is real/standby for a request targeting `slot`,
-  // finalizing the swap once the boundary has passed.
-  [[nodiscard]] std::pair<PhyId, PhyId> route_for_slot(RuState& state,
-                                                       std::int64_t slot);
-  // Pool helpers (no-ops outside pool mode).
-  [[nodiscard]] PhyId next_pool_standby() const;
-  void assign_standby(RuState& state, PhyId phy);
-  void consume_pool_member(PhyId phy);
-  void initiate_failover(RuState& state, Nanos notified_at, bool deferred);
 
   Simulator& sim_;
-  std::string name_;
   Nic& nic_;
-  OrionL2Config config_;
+  OrionCostModel costs_;
+  MacAddr switch_cmd_mac_;
   RngStream jitter_rng_;
   ShmFapiPipe* to_l2_ = nullptr;
   std::map<std::uint8_t, MacAddr> phy_peers_;
-  std::map<std::uint8_t, RuState> rus_;
-  void notify_pool(PoolEvent event, PhyId phy) {
-    if (pool_observer_) {
-      pool_observer_(event, phy);
-    }
-  }
-
-  bool pool_mode_ = false;
-  std::vector<PoolMember> pool_;
-  PoolObserver pool_observer_;
-  std::function<void(const MigrationEvent&)> on_failover_;
-  OrionL2Tap* tap_ = nullptr;
-  OrionL2Stats stats_;
-  std::vector<MigrationEvent> migration_log_;
 };
 
 }  // namespace slingshot

@@ -1,22 +1,10 @@
 #include "core/real_orion.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace slingshot {
-
-const char* episode_event_name(EpisodeEventKind kind) {
-  switch (kind) {
-    case EpisodeEventKind::kDetected:
-      return "detected";
-    case EpisodeEventKind::kFailoverInitiated:
-      return "failover_initiated";
-    case EpisodeEventKind::kSwapFinalized:
-      return "swap_finalized";
-    case EpisodeEventKind::kStandbyAdopted:
-      return "standby_adopted";
-  }
-  return "?";
-}
 
 RealOrionRelay::RealOrionRelay(RealOrionConfig config, UdpEndpoint* endpoint,
                                ShmRing l2_to_orion, ShmRing orion_to_l2,
@@ -27,33 +15,39 @@ RealOrionRelay::RealOrionRelay(RealOrionConfig config, UdpEndpoint* endpoint,
       l2_to_orion_(l2_to_orion),
       orion_to_l2_(orion_to_l2),
       orion_to_phy_(std::move(orion_to_phy)),
-      phy_to_orion_(std::move(phy_to_orion)) {}
-
-std::int64_t RealOrionRelay::wall_slot() const {
-  const auto& p = config_.pacer;
-  if (p.tti_ns <= 0) {
-    return 0;
+      phy_to_orion_(std::move(phy_to_orion)),
+      core_(*this, "real-orion",
+            {.slots = {.slot_duration = config_.pacer.tti_ns}}) {
+  // One cell: PHY 1 is its primary, every other PHY a pool standby.
+  for (std::size_t i = 1; i < config_.phy_ports.size(); ++i) {
+    core_.add_pool_standby(PhyId{std::uint8_t(i + 1)});
   }
-  return (WallclockPacer::now_ns() - p.epoch_ns) / p.tti_ns;
+  core_.set_ru_primary(config_.ru, PhyId{1});
+  core_.set_tap(&ledger_);
 }
 
-std::size_t RealOrionRelay::phy_index_for_port(std::uint16_t port) const {
-  for (std::size_t i = 0; i < config_.phy_ports.size(); ++i) {
-    if (config_.phy_ports[i] == port) {
-      return i;
-    }
+void RealOrionRelay::to_phy(PhyId phy, const FapiMessage& msg) {
+  const std::size_t index = std::size_t(phy.value()) - 1;
+  if (phy == PhyId{} || index >= config_.phy_ports.size()) {
+    return;
   }
-  return config_.phy_ports.size();
-}
-
-void RealOrionRelay::send_fapi(std::uint16_t port, const FapiMessage& msg) {
   serialize_fapi_into(msg, wire_scratch_);
-  endpoint_->send_to(port, wire_scratch_);
+  endpoint_->send_to(config_.phy_ports[index], wire_scratch_);
+  if (msg.type() != FapiMsgType::kUlTtiRequest || phy != active_phy()) {
+    return;
+  }
+  // Every UL_TTI gets an indication back: start (or extend) the count.
+  watch(phy);
+  latest_ul_slot_ = std::max(latest_ul_slot_, msg.slot);
+  if (unanswered_since_ns_ < 0) {
+    unanswered_since_ns_ = now();
+    unanswered_slot_ = msg.slot;
+  }
 }
 
-void RealOrionRelay::record(EpisodeEventKind kind, PhyId phy) {
-  ledger_.push_back(EpisodeEvent{kind, config_.ru, phy, wall_slot(),
-                                 WallclockPacer::now_ns()});
+void RealOrionRelay::to_l2(FapiMessage&& msg) {
+  serialize_fapi_into(msg, wire_scratch_);
+  endpoint_->send_to(config_.l2_port, wire_scratch_);
 }
 
 void RealOrionRelay::poll_once(int timeout_ms) {
@@ -68,150 +62,92 @@ void RealOrionRelay::poll_once(int timeout_ms) {
 
 void RealOrionRelay::handle_datagram(std::uint16_t from_port,
                                      std::span<const std::uint8_t> bytes) {
+  PhyId from;
+  if (from_port != config_.l2_port) {
+    const auto it = std::find(config_.phy_ports.begin(),
+                              config_.phy_ports.end(), from_port);
+    if (it == config_.phy_ports.end()) {
+      return;  // unknown senders are dropped: the transport is closed-world
+    }
+    from = PhyId{std::uint8_t(it - config_.phy_ports.begin() + 1)};
+  }
   FapiMessage msg;
-  const char* err = nullptr;
-  if (!try_parse_fapi(bytes, msg, &err)) {
-    ++stats_.parse_errors;
-    SLOG_WARN("real-orion", "dropping corrupt datagram from port %u (%s)",
-              unsigned(from_port), err == nullptr ? "?" : err);
-    // Same contract as the simulated Orion: the L2 hears about
-    // unparseable bytes instead of observing a silent gap.
-    send_fapi(config_.l2_port,
-              FapiMessage{config_.ru, 0,
-                          ErrorIndication{kFapiMsgCorrupt,
-                                          FapiMsgType::kErrorIndication}});
-    return;
+  const char* error = nullptr;
+  if (!try_parse_fapi(bytes, msg, &error)) {
+    core_.on_parse_error(from, error);
+  } else if (from == PhyId{}) {
+    core_.on_l2_request(std::move(msg));
+  } else {
+    heard(from);
+    core_.on_phy_indication(from, std::move(msg));
   }
-  if (from_port == config_.l2_port) {
-    handle_l2_request(std::move(msg));
-    return;
-  }
-  const std::size_t phy = phy_index_for_port(from_port);
-  if (phy < config_.phy_ports.size()) {
-    handle_phy_indication(phy, std::move(msg));
-  }
-  // Unknown senders are dropped: the transport is closed-world.
-}
-
-void RealOrionRelay::handle_l2_request(FapiMessage&& msg) {
-  const std::uint16_t active_port = config_.phy_ports[config_.active];
-  const std::uint16_t standby_port = config_.phy_ports[config_.standby];
-  switch (msg.type()) {
-    case FapiMsgType::kDlTtiRequest: {
-      send_fapi(active_port, msg);
-      ++stats_.requests_forwarded;
-      if (!failed_over_) {
-        send_fapi(standby_port, make_null_dl_tti(msg.ru, msg.slot));
-        ++stats_.nulls_sent;
-      }
-      break;
-    }
-    case FapiMsgType::kUlTtiRequest: {
-      send_fapi(active_port, msg);
-      ++stats_.requests_forwarded;
-      // Every UL_TTI, null or not, gets an indication back.
-      if (unanswered_since_ns_ < 0) {
-        unanswered_since_ns_ = WallclockPacer::now_ns();
-      }
-      if (!failed_over_) {
-        send_fapi(standby_port, make_null_ul_tti(msg.ru, msg.slot));
-        ++stats_.nulls_sent;
-      }
-      break;
-    }
-    case FapiMsgType::kConfigRequest:
-    case FapiMsgType::kStartRequest:
-    case FapiMsgType::kStopRequest: {
-      // Lifecycle fans out to both PHYs — the standby stays initialized
-      // without an explicit replay in this fixed-pair mode (§6.3).
-      send_fapi(active_port, msg);
-      if (!failed_over_) {
-        send_fapi(standby_port, msg);
-      }
-      ++stats_.requests_forwarded;
-      break;
-    }
-    default: {
-      send_fapi(active_port, msg);
-      ++stats_.requests_forwarded;
-      break;
-    }
-  }
-}
-
-void RealOrionRelay::handle_phy_indication(std::size_t phy_index,
-                                           FapiMessage&& msg) {
-  if (phy_index == config_.active) {
-    heard_active();
-    send_fapi(config_.l2_port, msg);
-    ++stats_.indications_forwarded;
-    return;
-  }
-  // Standby chatter (slot indications for its null feed) never reaches
-  // the L2 — it must see exactly one PHY (§6.2).
-  ++stats_.standby_filtered;
 }
 
 void RealOrionRelay::drain_rings() {
   // L2 -> active PHY: TX_DATA payload records move ring-to-ring without
   // a parse — Orion treats SHM payloads as opaque, as the paper's
   // middlebox never touches IQ bytes.
-  std::vector<std::uint8_t> record;
-  while (l2_to_orion_.pop(record)) {
-    orion_to_phy_[config_.active].push(record);
-    ++stats_.ring_records_relayed;
+  const PhyId active = active_phy();
+  const std::size_t a = std::size_t(active.value()) - 1;
+  while (l2_to_orion_.pop(record_scratch_)) {
+    if (a < orion_to_phy_.size()) {
+      orion_to_phy_[a].push(record_scratch_);
+    }
   }
   for (std::size_t i = 0; i < phy_to_orion_.size(); ++i) {
-    while (phy_to_orion_[i].pop(record)) {
-      if (i == config_.active) {
-        heard_active();
-        orion_to_l2_.push(record);
-        ++stats_.ring_records_relayed;
-      } else {
-        ++stats_.standby_filtered;
+    while (phy_to_orion_[i].pop(record_scratch_)) {
+      if (i == a) {
+        heard(active);
+        orion_to_l2_.push(record_scratch_);
       }
     }
   }
 }
 
-void RealOrionRelay::heard_active() {
-  active_heard_ = true;
-  last_active_heard_ns_ = WallclockPacer::now_ns();
+void RealOrionRelay::watch(PhyId active) {
+  if (active != watched_) {
+    watched_ = active;
+    armed_ = false;
+    unanswered_since_ns_ = -1;
+  }
+}
+
+void RealOrionRelay::heard(PhyId phy) {
+  if (phy != active_phy()) {
+    return;
+  }
+  watch(phy);
+  // Lifecycle chatter during the pre-epoch launch lead must not arm the
+  // detector: everyone is deliberately idle until slot 0, and that idle
+  // stretch dwarfs any sane timeout.
+  armed_ = armed_ || now() >= 0;
   unanswered_since_ns_ = -1;
 }
 
 void RealOrionRelay::check_detector() {
-  if (failed_over_ || !active_heard_ || unanswered_since_ns_ < 0) {
+  const PhyId active = active_phy();
+  watch(active);
+  if (!armed_ || unanswered_since_ns_ < 0 ||
+      WallclockPacer::now_ns() > config_.detect_deadline_ns) {
     return;
   }
-  // Lifecycle chatter during the pre-epoch launch lead must not arm the
-  // countdown: everyone is deliberately idle until slot 0, and that
-  // idle stretch dwarfs any sane detect timeout. The detector runs only
-  // once the active PHY has spoken inside the paced window.
-  if (last_active_heard_ns_ < config_.pacer.epoch_ns) {
+  const std::int64_t silent_ns = now() - unanswered_since_ns_;
+  const std::int64_t tti = config_.pacer.tti_ns;
+  const std::int64_t progress_slots = (config_.detect_timeout_ns + tti - 1) / tti;
+  if (silent_ns < config_.detect_timeout_ns ||
+      latest_ul_slot_ - unanswered_slot_ < progress_slots) {
     return;
   }
-  const std::int64_t now = WallclockPacer::now_ns();
-  if (now > config_.detect_deadline_ns) {
-    return;
-  }
-  const std::int64_t silent_ns = now - unanswered_since_ns_;
-  if (silent_ns < config_.detect_timeout_ns) {
-    return;
-  }
-  // Real socket silence exceeded the budget: the wall-clock analogue of
-  // the paper's in-switch detection (§5).
-  const PhyId dead = active_phy();
-  record(EpisodeEventKind::kDetected, dead);
-  record(EpisodeEventKind::kFailoverInitiated, dead);
-  std::swap(config_.active, config_.standby);
-  failed_over_ = true;
-  active_heard_ = false;  // re-arm on the new primary's first word
-  record(EpisodeEventKind::kSwapFinalized, active_phy());
+  // The PHY stayed silent while the L2 moved on: the wall-clock
+  // analogue of the paper's in-switch detection (§5). One notification
+  // per silence; the detector re-arms on the next active PHY's word.
   SLOG_WARN("real-orion",
-            "failover ru=%u dead_phy=%u new_phy=%u after %ld ns of silence",
-            unsigned(config_.ru.value()), unsigned(dead.value()),
-            unsigned(active_phy().value()), long(silent_ns));
+            "ru=%u phy=%u silent for %ld ns over %ld L2 slots: notifying",
+            unsigned(config_.ru.value()), unsigned(active.value()),
+            long(silent_ns), long(latest_ul_slot_ - unanswered_slot_));
+  armed_ = false;
+  unanswered_since_ns_ = -1;
+  core_.on_failure_notification(active);
 }
 
 }  // namespace slingshot

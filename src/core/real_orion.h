@@ -1,71 +1,40 @@
-// Real-deployment Orion relay: the paper's L2<->PHY middlebox (§6.1)
-// running against actual sockets and shared memory instead of the
-// simulator's Nic/Link fabric.
+// Real-deployment Orion relay (§6.1): OrionCore's adapter for actual
+// sockets and shared memory. It makes no decision of its own: it parses
+// the FAPI wire format (fapi/wire.h, one message per datagram), hands
+// L2 requests, tagged PHY indications and its detector's failure
+// notifications to the core, and sends whatever the core emits. PHY 1
+// is the cell's primary and every other PHY joins the core's standby
+// pool; the shared EpisodeLedger records the episodes, so a real run
+// and a simulator run of the same kill plan conform by construction.
+// IQ-heavy TX_DATA/RX_DATA ride SHM rings to and from the core's
+// current active PHY, unparsed.
 //
-// One RealOrionRelay serves one RU with a fixed primary/standby PHY
-// pair. It speaks the same little-endian FAPI wire format as the
-// simulator's Orion (fapi/wire.h — one datagram carries exactly one
-// serialized FapiMessage), so the two modes are byte-compatible:
-//
-//   - L2 requests arrive on the relay's UDP endpoint; DL_TTI/UL_TTI are
-//     forwarded verbatim to the active PHY while the standby receives
-//     null requests for the same slot (§6.2 hot standby). Lifecycle
-//     messages (CONFIG/START/STOP) fan out to both, which doubles as
-//     the degenerate init replay of §6.3 for this fixed-pair mode.
-//   - IQ-heavy TX_DATA rides the L2->Orion SHM ring and is re-pushed
-//     onto the active PHY's ring; RX_DATA comes back the same way.
-//   - Indications from the active PHY are forwarded up to L2; standby
-//     indications (slot indications for nulls) are absorbed.
-//
-// Failure detection is *wall-clock socket silence*: once the active PHY
-// has spoken, leaving a forwarded UL_TTI unanswered (no word on socket
-// or ring) for longer than `detect_timeout_ns` declares it dead — the
-// real-mode stand-in for the paper's in-switch detector. Silence counts
-// only while the L2 keeps asking, so a stall of the whole process (L2
-// included) cannot read as one PHY's death. The relay
-// then swaps the pair and records an episode ledger (kDetected →
-// kFailoverInitiated → kSwapFinalized) whose (kind, ru, phy) sequence
-// must match the simulator's ledger for the same scripted fault plan;
-// tests/testbed/test_real_testbed.cc enforces that conformance.
+// Failure detection is progress-relative socket silence, the stand-in
+// for the in-switch detector: the active PHY is dead only once a UL_TTI
+// forwarded to it has gone unanswered (socket and ring) for
+// detect_timeout_ns of wall time *and* the L2 has since forwarded
+// UL_TTIs for ceil(detect_timeout_ns / tti_ns) later slots. A stall of
+// the whole process, L2 included, makes no slot progress and so cannot
+// read as one PHY's death.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "common/types.h"
-#include "fapi/fapi.h"
+#include "core/orion_core.h"
 #include "transport/shm_ring.h"
 #include "transport/udp_endpoint.h"
 #include "transport/wallclock_pacer.h"
 
 namespace slingshot {
 
-enum class EpisodeEventKind : std::uint8_t {
-  kDetected = 0,           // active PHY declared dead
-  kFailoverInitiated = 1,  // migration toward the standby decided
-  kSwapFinalized = 2,      // FAPI routing now targets the new primary
-  kStandbyAdopted = 3,     // replacement standby wired in (§6.3)
-};
-
-[[nodiscard]] const char* episode_event_name(EpisodeEventKind kind);
-
-struct EpisodeEvent {
-  EpisodeEventKind kind = EpisodeEventKind::kDetected;
-  RuId ru;
-  PhyId phy;              // the PHY the event concerns
-  std::int64_t slot = 0;  // wall slot the event happened in
-  std::int64_t wall_ns = 0;
-};
-
 struct RealOrionConfig {
   RuId ru;
   std::uint16_t l2_port = 0;
   // phy_ports[i] pairs with PhyId{i + 1}, matching the simulator
-  // testbed's kPhyA/kPhyB numbering so ledgers align across modes.
+  // testbed's numbering so ledgers align across modes.
   std::vector<std::uint16_t> phy_ports;
-  std::size_t active = 0;   // index into phy_ports
-  std::size_t standby = 1;  // index into phy_ports
   std::int64_t detect_timeout_ns = 2'000'000;
   // Wall instant past which the detector disarms. A finite run ends
   // with *everyone* going quiet; without this the trailing silence
@@ -73,19 +42,10 @@ struct RealOrionConfig {
   // the L2 stops pacing.
   std::int64_t detect_deadline_ns =
       std::numeric_limits<std::int64_t>::max();
-  WallclockPacer::Config pacer;  // for wall->slot conversion only
+  WallclockPacer::Config pacer;  // the core's clock and slot length
 };
 
-struct RealOrionStats {
-  std::uint64_t requests_forwarded = 0;   // real DL/UL_TTI to active
-  std::uint64_t nulls_sent = 0;           // null TTIs to the standby
-  std::uint64_t indications_forwarded = 0;
-  std::uint64_t standby_filtered = 0;     // standby indications absorbed
-  std::uint64_t ring_records_relayed = 0;
-  std::uint64_t parse_errors = 0;
-};
-
-class RealOrionRelay {
+class RealOrionRelay final : private OrionPort {
  public:
   // `endpoint` is the relay's pre-opened socket (owned by the caller,
   // must outlive the relay). Ring handles are plain values into
@@ -94,6 +54,9 @@ class RealOrionRelay {
                  ShmRing l2_to_orion, ShmRing orion_to_l2,
                  std::vector<ShmRing> orion_to_phy,
                  std::vector<ShmRing> phy_to_orion);
+  // The core holds this relay as its port: no copies.
+  RealOrionRelay(const RealOrionRelay&) = delete;
+  RealOrionRelay& operator=(const RealOrionRelay&) = delete;
 
   // One scheduling quantum: receive every queued datagram (waiting up
   // to timeout_ms for the first), drain every ring, then run the
@@ -103,25 +66,30 @@ class RealOrionRelay {
   void poll_once(int timeout_ms);
 
   [[nodiscard]] PhyId active_phy() const {
-    return PhyId{std::uint8_t(config_.active + 1)};
+    return core_.active_phy(config_.ru);
   }
+  [[nodiscard]] const OrionCore& core() const { return core_; }
   [[nodiscard]] const std::vector<EpisodeEvent>& ledger() const {
-    return ledger_;
+    return ledger_.events();
   }
-  [[nodiscard]] const RealOrionStats& stats() const { return stats_; }
 
  private:
+  // OrionPort: wall ns since the pacing epoch; no switch in real mode.
+  [[nodiscard]] Nanos now() const override {
+    return WallclockPacer::now_ns() - config_.pacer.epoch_ns;
+  }
+  void to_phy(PhyId phy, const FapiMessage& msg) override;
+  void to_l2(FapiMessage&& msg) override;
+  void to_switch(std::vector<std::uint8_t>&& /*cmd*/,
+                 Nanos /*delay*/) override {}
+
   void handle_datagram(std::uint16_t from_port,
                        std::span<const std::uint8_t> bytes);
-  void handle_l2_request(FapiMessage&& msg);
-  void handle_phy_indication(std::size_t phy_index, FapiMessage&& msg);
   void drain_rings();
+  // Detector bookkeeping, all relative to the core's active PHY.
+  void watch(PhyId active);
+  void heard(PhyId phy);
   void check_detector();
-  void heard_active();
-  void send_fapi(std::uint16_t port, const FapiMessage& msg);
-  [[nodiscard]] std::size_t phy_index_for_port(std::uint16_t port) const;
-  void record(EpisodeEventKind kind, PhyId phy);
-  [[nodiscard]] std::int64_t wall_slot() const;
 
   RealOrionConfig config_;
   UdpEndpoint* endpoint_;
@@ -129,18 +97,21 @@ class RealOrionRelay {
   ShmRing orion_to_l2_;
   std::vector<ShmRing> orion_to_phy_;
   std::vector<ShmRing> phy_to_orion_;
+  OrionCore core_;
+  EpisodeLedger ledger_{core_};
 
-  RealOrionStats stats_;
-  std::vector<EpisodeEvent> ledger_;
-  // Detector state: the active PHY is armed once it has produced any
-  // traffic, and silence is measured from the oldest UL_TTI forwarded to
-  // it since it last spoke (-1: none outstanding).
-  bool active_heard_ = false;
-  std::int64_t last_active_heard_ns_ = 0;
+  // Detector state for `watched_` (the active PHY): armed once it has
+  // spoken inside the paced window; silence is measured from the oldest
+  // UL_TTI forwarded to it since it last spoke (-1: none outstanding),
+  // and L2 progress from that UL_TTI's slot to the latest one forwarded.
+  PhyId watched_;
+  bool armed_ = false;
   std::int64_t unanswered_since_ns_ = -1;
-  bool failed_over_ = false;  // fixed pair: at most one failover
+  std::int64_t unanswered_slot_ = -1;
+  std::int64_t latest_ul_slot_ = -1;
   std::vector<std::uint8_t> rx_scratch_;
   std::vector<std::uint8_t> wire_scratch_;
+  std::vector<std::uint8_t> record_scratch_;
 };
 
 }  // namespace slingshot

@@ -244,8 +244,6 @@ Kv orion_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
   for (const auto& ep : net.phys) {
     oc.phy_ports.push_back(ep.port());
   }
-  oc.active = 0;
-  oc.standby = 1;
   oc.detect_timeout_ns = cfg.detect_timeout_ns;
   oc.detect_deadline_ns =
       epoch + (cfg.run_slots - kDetectorDisarmSlots) * cfg.tti_ns;
@@ -259,18 +257,11 @@ Kv orion_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
   }
 
   Kv kv;
-  const auto& stats = relay.stats();
-  put(kv, "requests_forwarded", std::int64_t(stats.requests_forwarded));
-  put(kv, "nulls_sent", std::int64_t(stats.nulls_sent));
-  put(kv, "indications_forwarded",
-      std::int64_t(stats.indications_forwarded));
-  put(kv, "standby_filtered", std::int64_t(stats.standby_filtered));
-  put(kv, "ring_records_relayed", std::int64_t(stats.ring_records_relayed));
-  put(kv, "parse_errors", std::int64_t(stats.parse_errors));
+  put(kv, "parse_errors", std::int64_t(relay.core().stats().parse_errors));
   for (const auto& e : relay.ledger()) {
     std::ostringstream enc;
     enc << int(e.kind) << ':' << unsigned(e.ru.value()) << ':'
-        << unsigned(e.phy.value()) << ':' << e.slot << ':' << e.wall_ns;
+        << unsigned(e.phy.value()) << ':' << e.slot << ':' << e.at;
     kv.emplace_back("episode", enc.str());
   }
   return kv;
@@ -288,8 +279,7 @@ std::vector<EpisodeEvent> decode_ledger(const Kv& kv) {
     unsigned phy = 0;
     char sep = 0;
     std::istringstream dec(v);
-    dec >> kind >> sep >> ru >> sep >> phy >> sep >> e.slot >> sep >>
-        e.wall_ns;
+    dec >> kind >> sep >> ru >> sep >> phy >> sep >> e.slot >> sep >> e.at;
     e.kind = EpisodeEventKind(kind);
     e.ru = RuId{std::uint8_t(ru)};
     e.phy = PhyId{std::uint8_t(phy)};
@@ -354,9 +344,23 @@ RealRunResult RealTestbed::run() {
   }
 
   const std::int64_t epoch = WallclockPacer::now_ns() + kEpochLeadNs;
-  const bool fault = config_.fault.kill_slot >= 0;
-  const std::int64_t kill_target =
-      epoch + config_.fault.kill_slot * config_.tti_ns;
+  const bool fault = !config_.kills.empty();
+  // Execute the kill plan in order: wait for each kill's wall instant,
+  // then take that PHY down.
+  const auto run_kills = [&](const auto& take_down) {
+    for (const PhyKill& k : config_.kills) {
+      const std::int64_t target = epoch + k.slot * config_.tti_ns;
+      while (WallclockPacer::now_ns() < target) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      if (result.kill_wall_ns < 0) {
+        result.kill_wall_ns = WallclockPacer::now_ns();
+      }
+      if (k.phy < num_phys) {
+        take_down(k.phy);
+      }
+    }
+  };
 
   Kv l2_kv;
   Kv orion_kv;
@@ -373,13 +377,9 @@ RealRunResult RealTestbed::run() {
       });
     }
     threads.emplace_back([&] { l2_kv = l2_role(config_, net, epoch); });
-    if (fault) {
-      while (WallclockPacer::now_ns() < kill_target) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      result.kill_wall_ns = WallclockPacer::now_ns();
-      frozen[0].store(true, std::memory_order_release);
-    }
+    run_kills([&](std::size_t phy) {
+      frozen[phy].store(true, std::memory_order_release);
+    });
     for (auto& t : threads) {
       t.join();
     }
@@ -421,15 +421,8 @@ RealRunResult RealTestbed::run() {
       return result;
     }
 
-    if (fault) {
-      // The scripted kill -9: wait for the fault slot's wall instant,
-      // then terminate the active PHY process outright.
-      while (WallclockPacer::now_ns() < kill_target) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      result.kill_wall_ns = WallclockPacer::now_ns();
-      ::kill(phy_pids[0], SIGKILL);
-    }
+    // The scripted kill -9: terminate each PHY process outright.
+    run_kills([&](std::size_t phy) { ::kill(phy_pids[phy], SIGKILL); });
 
     auto reap = [](pid_t pid) {
       int status = 0;
@@ -479,7 +472,8 @@ RealRunResult RealTestbed::run() {
     result.outage_ns = result.max_ind_gap_ns;
     for (const auto& e : result.ledger) {
       if (e.kind == EpisodeEventKind::kDetected) {
-        result.detection_ns = e.wall_ns - result.kill_wall_ns;
+        // Ledger times are the core's clock: ns since the epoch.
+        result.detection_ns = epoch + e.at - result.kill_wall_ns;
         break;
       }
     }
@@ -488,47 +482,25 @@ RealRunResult RealTestbed::run() {
   return result;
 }
 
-std::vector<EpisodeEvent> run_sim_fault_plan(const FaultPlan& plan) {
-  struct LedgerTap final : OrionL2Tap {
-    std::vector<EpisodeEvent> ledger;
-    void on_migration(const MigrationEvent& event) override {
-      if (event.kind != MigrationEvent::Kind::kFailover) {
-        return;
-      }
-      ledger.push_back(EpisodeEvent{EpisodeEventKind::kDetected, event.ru,
-                                    event.from, 0, event.notification_at});
-      ledger.push_back(EpisodeEvent{EpisodeEventKind::kFailoverInitiated,
-                                    event.ru, event.from, 0,
-                                    event.initiated_at});
-    }
-    void on_swap_finalized(RuId ru, std::int64_t slot, PhyId new_primary,
-                           std::int64_t /*boundary_slot*/) override {
-      ledger.push_back(EpisodeEvent{EpisodeEventKind::kSwapFinalized, ru,
-                                    new_primary, slot, 0});
-    }
-    void on_adopt(RuId ru, PhyId phy) override {
-      ledger.push_back(
-          EpisodeEvent{EpisodeEventKind::kStandbyAdopted, ru, phy, 0, 0});
-    }
-  };
-
+std::vector<EpisodeEvent> run_sim_fault_plan(const PhyKillPlan& plan,
+                                             std::size_t num_phys) {
   TestbedConfig cfg;
   cfg.seed = 7;
-  cfg.num_ues = 1;
+  cfg.cells = {CellSpec{}};  // one cell, one UE: the real testbed's shape
+  cfg.num_phys = int(num_phys);
   Testbed tb{cfg};
-  LedgerTap tap;
-  tb.orion().set_tap(&tap);
+  EpisodeLedger ledger{tb.orion()};
+  tb.orion().set_tap(&ledger);
   tb.start();
   tb.run_for(50_ms);  // settle window before measuring, as everywhere
-  if (plan.kill_slot >= 0) {
-    tb.run_for(Nanos(plan.kill_slot) * tb.config().slots.slot_duration);
-    tb.kill_phy(Testbed::kPhyA);
-    tb.run_for(100_ms);
-  } else {
-    tb.run_for(100_ms);
+  const Nanos t0 = tb.sim().now();
+  for (const PhyKill& k : plan) {
+    tb.run_until(t0 + Nanos(k.slot) * tb.config().slots.slot_duration);
+    tb.kill_phy(tb.phy_id(int(k.phy)));
   }
+  tb.run_for(100_ms);
   tb.orion().set_tap(nullptr);
-  return tap.ledger;
+  return ledger.events();
 }
 
 bool ledgers_conform(const std::vector<EpisodeEvent>& lhs,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "net/nic.h"
@@ -305,6 +307,121 @@ TEST(OrionL2Side, CorruptIndicationSurfacesErrorIndication) {
   ASSERT_EQ(msg.type(), FapiMsgType::kErrorIndication);
   EXPECT_EQ(std::get<ErrorIndication>(msg.body).code, kFapiMsgCorrupt);
   EXPECT_EQ(f.orion_l2->stats().parse_errors, 1U);
+}
+
+// ---------------------------------------------------------------------
+// OrionCore on its own: no Simulator and no Nic. A recording port
+// stands in for both worlds' adapters.
+// ---------------------------------------------------------------------
+struct RecordingPort final : OrionPort {
+  Nanos clock = 0;
+  std::vector<std::pair<PhyId, FapiMessage>> phy_sends;
+  std::vector<FapiMessage> l2_sends;
+  std::vector<std::pair<std::vector<std::uint8_t>, Nanos>> switch_sends;
+
+  [[nodiscard]] Nanos now() const override { return clock; }
+  void to_phy(PhyId phy, const FapiMessage& msg) override {
+    phy_sends.emplace_back(phy, msg);
+  }
+  void to_l2(FapiMessage&& msg) override { l2_sends.push_back(std::move(msg)); }
+  void to_switch(std::vector<std::uint8_t>&& cmd, Nanos delay) override {
+    switch_sends.emplace_back(std::move(cmd), delay);
+  }
+};
+
+struct CoreFixture {
+  RecordingPort port;
+  OrionL2Config config{};
+  OrionCore core{port, "core", config};
+  CoreFixture() { core.set_ru_phys(RuId{1}, PhyId{1}, PhyId{2}); }
+};
+
+TEST(OrionCore, RealRequestToPrimaryNullToStandby) {
+  CoreFixture f;
+  f.core.on_l2_request(
+      FapiMessage{RuId{1}, 100,
+                  UlTtiRequest{{TtiPdu{UeId{1}, 1, 100, HarqId{0}, true}}}});
+  ASSERT_EQ(f.port.phy_sends.size(), 2U);
+  const auto& [real_phy, real] = f.port.phy_sends[0];
+  const auto& [null_phy, null_msg] = f.port.phy_sends[1];
+  EXPECT_EQ(real_phy, PhyId{1});
+  EXPECT_EQ(std::get<UlTtiRequest>(real.body).pdus.size(), 1U);
+  EXPECT_EQ(null_phy, PhyId{2});
+  EXPECT_TRUE(std::get<UlTtiRequest>(null_msg.body).pdus.empty());
+  EXPECT_EQ(null_msg.slot, 100);
+  EXPECT_EQ(f.core.stats().null_requests_sent, 1U);
+  EXPECT_TRUE(f.port.l2_sends.empty());
+}
+
+TEST(OrionCore, StandbyIndicationsDropped) {
+  CoreFixture f;
+  f.core.on_phy_indication(PhyId{2}, FapiMessage{RuId{1}, 50, CrcIndication{}});
+  EXPECT_TRUE(f.port.l2_sends.empty());
+  f.core.on_phy_indication(PhyId{1}, FapiMessage{RuId{1}, 50, CrcIndication{}});
+  ASSERT_EQ(f.port.l2_sends.size(), 1U);
+  EXPECT_EQ(f.port.l2_sends[0].type(), FapiMsgType::kCrcIndication);
+  EXPECT_EQ(f.core.stats().standby_responses_dropped, 1U);
+  EXPECT_EQ(f.core.stats().responses_forwarded, 1U);
+}
+
+TEST(OrionCore, FailureNotificationSwapsAtNowPlusMargin) {
+  CoreFixture f;
+  const SlotConfig& slots = f.config.slots;
+  f.port.clock = slots.slot_start(100) + 1234;  // inside slot 100
+  f.core.on_failure_notification(PhyId{1});
+
+  ASSERT_EQ(f.core.migration_log().size(), 1U);
+  const MigrationEvent& event = f.core.migration_log()[0];
+  const std::int64_t boundary = 100 + f.config.failover_margin_slots;
+  EXPECT_EQ(event.kind, MigrationEvent::Kind::kFailover);
+  EXPECT_EQ(event.from, PhyId{1});
+  EXPECT_EQ(event.to, PhyId{2});
+  EXPECT_EQ(event.boundary_slot, boundary);
+  EXPECT_EQ(event.notification_at, f.port.clock);
+  // The fronthaul is steered to the standby at the same boundary, now.
+  ASSERT_FALSE(f.port.switch_sends.empty());
+  const auto cmd = parse_migrate_cmd(f.port.switch_sends[0].first);
+  EXPECT_EQ(f.port.switch_sends[0].second, 0);
+  EXPECT_EQ(cmd.dest_phy, PhyId{2});
+  EXPECT_EQ(cmd.slot.wrapped_index(slots),
+            SlotPoint::from_index(boundary, slots).wrapped_index(slots));
+
+  // The slot before the boundary is still PHY 1's.
+  f.core.on_l2_request(dl_tti(boundary - 1));
+  EXPECT_EQ(f.core.active_phy(RuId{1}), PhyId{1});
+  EXPECT_EQ(f.port.phy_sends.back().first, PhyId{2});  // its null
+  EXPECT_EQ(f.port.phy_sends[f.port.phy_sends.size() - 2].first, PhyId{1});
+  // At the boundary the standby takes over; the failed PHY gets nothing.
+  f.port.phy_sends.clear();
+  f.core.on_l2_request(dl_tti(boundary));
+  EXPECT_EQ(f.core.active_phy(RuId{1}), PhyId{2});
+  ASSERT_EQ(f.port.phy_sends.size(), 1U);
+  EXPECT_EQ(f.port.phy_sends[0].first, PhyId{2});
+  EXPECT_EQ(std::get<DlTtiRequest>(f.port.phy_sends[0].second.body).pdus.size(),
+            1U);
+}
+
+TEST(OrionCore, DuplicateNotificationIsOnlyCounted) {
+  CoreFixture f;
+  f.port.clock = f.config.slots.slot_start(100);
+  f.core.on_failure_notification(PhyId{1});
+  const auto log_size = f.core.migration_log().size();
+  const auto phy_sends = f.port.phy_sends.size();
+  const auto l2_sends = f.port.l2_sends.size();
+  const auto switch_sends = f.port.switch_sends.size();
+
+  f.port.clock += 1000;
+  f.core.on_failure_notification(PhyId{1});
+  const OrionL2Stats& stats = f.core.stats();
+  EXPECT_EQ(stats.failure_notifications, 2U);
+  EXPECT_EQ(stats.failovers_initiated, 1U);
+  EXPECT_EQ(stats.duplicate_notifications_ignored, 1U);
+  EXPECT_EQ(f.core.migration_log().size(), log_size);
+  EXPECT_EQ(f.core.migration_log().back().boundary_slot,
+            100 + f.config.failover_margin_slots);
+  EXPECT_EQ(f.port.phy_sends.size(), phy_sends);
+  EXPECT_EQ(f.port.l2_sends.size(), l2_sends);
+  EXPECT_EQ(f.port.switch_sends.size(), switch_sends);
 }
 
 TEST(OrionCostModel, ScalesWithMessageSize) {

@@ -1,4 +1,4 @@
-// Real-process deployment mode end to end: Orion relay + 2 PHYs + L2
+// Real-process deployment mode end to end: Orion relay + PHYs + L2
 // exchanging real FAPI datagrams under wall-clock pacing, a scripted
 // kill of the active PHY, and the conformance contract that the real
 // run's episode ledger matches the simulator's for the same fault plan.
@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/real_orion.h"
 #include "testbed/real_testbed.h"
@@ -59,7 +62,7 @@ TEST(RealTestbed, InprocNoFaultRunsClean) {
 
 TEST(RealTestbed, InprocFailoverDetectsSwapsAndRestores) {
   auto cfg = smoke_config(/*inproc=*/true);
-  cfg.fault.kill_slot = 60;
+  cfg.kills = {PhyKill{60, 0}};
   RealRunResult result = RealTestbed{cfg}.run();
   ASSERT_TRUE(result.ok) << result.error;
   expect_failover_ledger(result);
@@ -77,23 +80,23 @@ TEST(RealTestbed, InprocFailoverDetectsSwapsAndRestores) {
 
 TEST(RealTestbed, InprocLedgerConformsToSimulator) {
   auto cfg = smoke_config(/*inproc=*/true);
-  cfg.fault.kill_slot = 60;
+  cfg.kills = {PhyKill{60, 0}};
   RealRunResult real = RealTestbed{cfg}.run();
   ASSERT_TRUE(real.ok) << real.error;
 
-  const auto sim_ledger = run_sim_fault_plan(cfg.fault);
+  const auto sim_ledger = run_sim_fault_plan(cfg.kills);
   EXPECT_TRUE(ledgers_conform(real.ledger, sim_ledger))
       << "real ledger (" << real.ledger.size() << " events) diverged from "
       << "sim ledger (" << sim_ledger.size() << " events)";
 
   // And the no-fault plans agree too (both empty).
-  const FaultPlan none;
+  const PhyKillPlan none;
   EXPECT_TRUE(ledgers_conform({}, run_sim_fault_plan(none)));
 }
 
 TEST(RealTestbed, ForkModeFailoverWithRealSigkill) {
   auto cfg = smoke_config(/*inproc=*/false);
-  cfg.fault.kill_slot = 60;
+  cfg.kills = {PhyKill{60, 0}};
   RealRunResult result = RealTestbed{cfg}.run();
   ASSERT_TRUE(result.ok) << result.error;
   expect_failover_ledger(result);
@@ -101,13 +104,47 @@ TEST(RealTestbed, ForkModeFailoverWithRealSigkill) {
   EXPECT_GE(result.detection_ns, cfg.detect_timeout_ns - 4 * cfg.tti_ns);
   EXPECT_GT(result.outage_ns, 0);
   EXPECT_TRUE(
-      ledgers_conform(result.ledger, run_sim_fault_plan(cfg.fault)));
+      ledgers_conform(result.ledger, run_sim_fault_plan(cfg.kills)));
 }
 
-// The relay counts the active PHY's silence only while a UL_TTI it
-// forwarded is unanswered. An L2 that sends nothing, which is what a
-// stall of the whole process looks like from the relay, must never make
-// a healthy PHY look dead; an unanswered UL_TTI must.
+// Repeated failures through the core's standby pool: PHY 2 backs the
+// cell while PHY 3 waits in the pool. Killing PHY 1 promotes PHY 2 and
+// adopts PHY 3 as the new standby; killing PHY 2 then promotes PHY 3.
+TEST(RealTestbed, InprocTwoFailuresConformToSimulator) {
+  auto cfg = smoke_config(/*inproc=*/true);
+  cfg.num_phys = 3;
+  cfg.run_slots = 200;
+  cfg.kills = {PhyKill{50, 0}, PhyKill{110, 1}};
+  RealRunResult real = RealTestbed{cfg}.run();
+  ASSERT_TRUE(real.ok) << real.error;
+
+  std::string story;
+  for (const auto& e : real.ledger) {
+    story += std::string(episode_event_name(e.kind)) + "(" +
+             std::to_string(e.phy.value()) + ") ";
+  }
+  const auto sim_ledger = run_sim_fault_plan(cfg.kills, cfg.num_phys);
+  EXPECT_TRUE(ledgers_conform(real.ledger, sim_ledger)) << story;
+  using K = EpisodeEventKind;
+  const std::vector<std::pair<K, int>> expected = {
+      {K::kDetected, 1},       {K::kFailoverInitiated, 1},
+      {K::kStandbyAdopted, 3}, {K::kSwapFinalized, 2},
+      {K::kDetected, 2},       {K::kFailoverInitiated, 2},
+      {K::kSwapFinalized, 3}};
+  ASSERT_EQ(real.ledger.size(), expected.size()) << story;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(real.ledger[i].kind, expected[i].first) << story;
+    EXPECT_EQ(real.ledger[i].phy, PhyId{std::uint8_t(expected[i].second)})
+        << story;
+  }
+  EXPECT_TRUE(real.restored);
+}
+
+// The relay declares the active PHY dead only when a UL_TTI it forwarded
+// has gone unanswered for the detect timeout *and* the L2 has since
+// forwarded UL_TTIs for ceil(timeout / tti) later slots. An L2 that goes
+// quiet, which is what a stall of the whole process looks like from the
+// relay, must never make a healthy PHY look dead.
 TEST(RealOrionRelay, SilenceCountsOnlyWhileAUlTtiIsUnanswered) {
   UdpEndpoint l2;
   UdpEndpoint orion;
@@ -122,6 +159,8 @@ TEST(RealOrionRelay, SilenceCountsOnlyWhileAUlTtiIsUnanswered) {
   oc.phy_ports = {phy_a.port(), phy_b.port()};
   oc.detect_timeout_ns = 2'000'000;
   oc.pacer = {WallclockPacer::now_ns(), 500'000};
+  const std::int64_t progress_slots =
+      (oc.detect_timeout_ns + oc.pacer.tti_ns - 1) / oc.pacer.tti_ns;
   RealOrionRelay relay(oc, &orion, ShmRing::create(4096),
                        ShmRing::create(4096),
                        {ShmRing::create(4096), ShmRing::create(4096)},
@@ -154,9 +193,23 @@ TEST(RealOrionRelay, SilenceCountsOnlyWhileAUlTtiIsUnanswered) {
 
   l2_sends_ul_tti(2);
   wait_past_timeout();
-  ASSERT_EQ(relay.ledger().size(), 3U);
+  EXPECT_TRUE(relay.ledger().empty())
+      << "one unanswered UL_TTI and a silent L2 killed the PHY";
+
+  // The L2 moves on while PHY 1 stays silent: the last of these slots
+  // completes the progress the detector asks for.
+  for (std::int64_t s = 3; s < 3 + progress_slots; ++s) {
+    EXPECT_TRUE(relay.ledger().empty()) << "declared dead before slot " << s;
+    l2_sends_ul_tti(s);
+  }
+  ASSERT_EQ(relay.ledger().size(), 2U);
   EXPECT_EQ(relay.ledger()[0].kind, EpisodeEventKind::kDetected);
   EXPECT_EQ(relay.ledger()[0].phy, PhyId{1});
+  EXPECT_EQ(relay.ledger()[1].kind, EpisodeEventKind::kFailoverInitiated);
+  // The swap lands when the request stream reaches the failover boundary.
+  l2_sends_ul_tti(relay.core().migration_log().back().boundary_slot);
+  ASSERT_EQ(relay.ledger().size(), 3U);
+  EXPECT_EQ(relay.ledger()[2].kind, EpisodeEventKind::kSwapFinalized);
   EXPECT_EQ(relay.active_phy(), PhyId{2});
 }
 
