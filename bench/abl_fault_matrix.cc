@@ -37,38 +37,24 @@ struct Outcome {
   std::int64_t slots = 0;
   bool survived = false;
   std::uint64_t notifications = 0;
-  // Notification-accounting identity (see OrionL2Stats): every
-  // kFailureNotify increments failure_notifications and exactly one of
-  // {failovers_initiated, duplicate_notifications_ignored,
-  // stale_notifications_ignored}. Checked at every mid-run checkpoint
-  // along with counter monotonicity.
+  // Notification-accounting identity (notification_identity_holds: every
+  // kFailureNotify lands in exactly one outcome counter), checked at
+  // every mid-run checkpoint along with counter monotonicity.
   bool counters_ok = true;
 };
 
-// Snapshot of the monotone Orion counters, compared across checkpoints.
-struct CounterSnap {
-  std::uint64_t notifications = 0;
-  std::uint64_t initiated = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t drains = 0;
-  std::uint64_t drain_expired = 0;
-
-  static CounterSnap take(Testbed& tb) {
-    const auto& s = tb.orion().stats();
-    return {s.failure_notifications,     s.failovers_initiated,
-            s.duplicate_notifications_ignored, s.stale_notifications_ignored,
-            s.drained_responses_accepted, s.drain_windows_expired};
-  }
-  [[nodiscard]] bool identity_holds() const {
-    return notifications == initiated + duplicates + stale;
-  }
-  [[nodiscard]] bool monotone_since(const CounterSnap& prev) const {
-    return notifications >= prev.notifications && initiated >= prev.initiated &&
-           duplicates >= prev.duplicates && stale >= prev.stale &&
-           drains >= prev.drains && drain_expired >= prev.drain_expired;
-  }
-};
+// The monotone Orion counters never decrease across checkpoints.
+bool monotone_since(const OrionL2Stats& cur, const OrionL2Stats& prev) {
+  return cur.failure_notifications >= prev.failure_notifications &&
+         cur.failovers_initiated >= prev.failovers_initiated &&
+         cur.duplicate_notifications_ignored >=
+             prev.duplicate_notifications_ignored &&
+         cur.stale_notifications_ignored >= prev.stale_notifications_ignored &&
+         cur.unprotected_notifications >= prev.unprotected_notifications &&
+         cur.standby_failures >= prev.standby_failures &&
+         cur.drained_responses_accepted >= prev.drained_responses_accepted &&
+         cur.drain_windows_expired >= prev.drain_windows_expired;
+}
 
 Outcome run_cell(const Mix& mix, std::uint64_t seed) {
   TestbedConfig cfg;
@@ -95,24 +81,30 @@ Outcome run_cell(const Mix& mix, std::uint64_t seed) {
   // are checked *during* the fault storm, not just at the end — a
   // transient double-count that later cancels out would pass an
   // end-only check.
-  CounterSnap prev = CounterSnap::take(tb);
+  OrionL2Stats prev = tb.orion().stats();
   for (Nanos t = 500_ms; t <= 4'500_ms; t += 500_ms) {
     tb.run_until(t);
-    const CounterSnap cur = CounterSnap::take(tb);
-    if (!cur.identity_holds() || !cur.monotone_since(prev)) {
+    const OrionL2Stats cur = tb.orion().stats();
+    if (!notification_identity_holds(cur) || !monotone_since(cur, prev)) {
       out.counters_ok = false;
       std::printf("COUNTER VIOLATION at t=%lld ns: notifs=%llu "
-                  "initiated=%llu dup=%llu stale=%llu (prev notifs=%llu)\n",
+                  "initiated=%llu dup=%llu stale=%llu unprotected=%llu "
+                  "standby=%llu (prev notifs=%llu)\n",
                   static_cast<long long>(t),
-                  static_cast<unsigned long long>(cur.notifications),
-                  static_cast<unsigned long long>(cur.initiated),
-                  static_cast<unsigned long long>(cur.duplicates),
-                  static_cast<unsigned long long>(cur.stale),
-                  static_cast<unsigned long long>(prev.notifications));
+                  static_cast<unsigned long long>(cur.failure_notifications),
+                  static_cast<unsigned long long>(cur.failovers_initiated),
+                  static_cast<unsigned long long>(
+                      cur.duplicate_notifications_ignored),
+                  static_cast<unsigned long long>(
+                      cur.stale_notifications_ignored),
+                  static_cast<unsigned long long>(
+                      cur.unprotected_notifications),
+                  static_cast<unsigned long long>(cur.standby_failures),
+                  static_cast<unsigned long long>(prev.failure_notifications));
     }
     prev = cur;
   }
-  out.notifications = prev.notifications;
+  out.notifications = prev.failure_notifications;
   out.events = plan.events.size();
   for (const auto& e : tb.orion().migration_log()) {
     if (e.kind == MigrationEvent::Kind::kFailover) {

@@ -48,13 +48,6 @@ struct SweepResult {
   bool others_clean = false; // every untouched cell: zero drops, UE attached
 };
 
-bool identity_holds(const OrionL2Stats& s) {
-  return s.failure_notifications ==
-         s.failovers_initiated + s.duplicate_notifications_ignored +
-             s.stale_notifications_ignored + s.unprotected_notifications +
-             s.standby_failures;
-}
-
 SweepResult run_point(const SweepPoint& pt, Nanos kill_at, Nanos horizon) {
   TestbedConfig cfg;
   cfg.seed = 31;
@@ -97,7 +90,7 @@ SweepResult run_point(const SweepPoint& pt, Nanos kill_at, Nanos horizon) {
   r.failovers = s.failovers_initiated;
   r.reassigned = s.standbys_reassigned;
   r.pool_left = tb.orion().pool_available();
-  r.identity_ok = identity_holds(s);
+  r.identity_ok = notification_identity_holds(s);
 
   const PhyId active0 = tb.orion().active_phy(tb.ru_id(0));
   r.recovered = tb.phy_by_id(active0) != nullptr &&

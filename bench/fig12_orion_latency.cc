@@ -51,8 +51,8 @@ PercentileTracker run_load(double dl_gbps, int num_messages) {
   OrionL2Side orion_l2{sim, "bench-l2", *l2_nic, ol2};
   OrionPhySide orion_phy{sim, "bench-phy", *phy_nic, OrionCostModel{}};
   orion_l2.add_phy_peer(PhyId{1}, MacAddr{0x2});
-  orion_l2.add_phy_peer(PhyId{2}, MacAddr{0x3});  // standby sink (absent)
-  orion_l2.set_ru_phys(RuId{1}, PhyId{1}, PhyId{2});
+  orion_l2.add_pool_standby(PhyId{2}, MacAddr{0x3});  // sink (absent)
+  orion_l2.set_ru_primary(RuId{1}, PhyId{1});
 
   ShmFapiPipe to_phy{sim};
   LatencyProbe probe;

@@ -125,18 +125,11 @@ class OrionL2Side final : private OrionPort,
   void add_phy_peer(PhyId phy, MacAddr orion_mac) {
     phy_peers_[phy.value()] = orion_mac;
   }
-  // The core's pool and adopt calls, registering the peer's MAC first.
+  // The core's pool registration (and revive path), registering the
+  // peer's MAC first.
   void add_pool_standby(PhyId phy, MacAddr orion_mac) {
     add_phy_peer(phy, orion_mac);
     OrionCore::add_pool_standby(phy);
-  }
-  void adopt_standby(RuId ru, PhyId phy, MacAddr orion_mac) {
-    add_phy_peer(phy, orion_mac);
-    OrionCore::adopt_standby(ru, phy);
-  }
-  void adopt_standby_all(PhyId phy, MacAddr orion_mac) {
-    add_phy_peer(phy, orion_mac);
-    OrionCore::adopt_standby_all(phy);
   }
 
   // FapiSink: requests arriving from the local L2 over SHM.

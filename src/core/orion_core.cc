@@ -16,25 +16,17 @@ constexpr std::int64_t kRehabFreshnessSlots = 8;
 constexpr Nanos kWatchGrace = 5'000'000;
 }  // namespace
 
-void OrionCore::set_ru_phys(RuId ru, PhyId primary, PhyId secondary) {
+void OrionCore::set_ru_primary(RuId ru, PhyId primary) {
   auto& state = rus_[ru.value()];
   state.ru = ru;
   state.primary = primary;
-  state.secondary = secondary;
-  state.previous_until_slot = -1;
-}
-
-void OrionCore::set_ru_primary(RuId ru, PhyId primary) {
-  pool_mode_ = true;
-  set_ru_phys(ru, primary, PhyId{});
   const PhyId next = next_pool_standby();
   if (next != PhyId{}) {
-    assign_standby(rus_[ru.value()], next);
+    assign_standby(state, next);
   }
 }
 
 void OrionCore::add_pool_standby(PhyId phy) {
-  pool_mode_ = true;
   const auto member = std::find_if(pool_.begin(), pool_.end(),
                                    [&](auto& m) { return m.id == phy; });
   if (member == pool_.end()) {
@@ -42,34 +34,44 @@ void OrionCore::add_pool_standby(PhyId phy) {
   } else {
     member->state = PoolState::kAvailable;  // a revived member rejoins
   }
+  std::erase(suspects_, phy);
   notify_pool(PoolEvent::kRestored, phy);
+  // A revived PHY that kept its cells while suspect comes back cold:
+  // replay every one of their init sequences.
+  for (auto& [ru_value, state] : rus_) {
+    if (state.secondary == phy) {
+      assign_standby(state, phy);
+    }
+  }
+  restore_protection();
+}
+
+void OrionCore::restore_protection() {
   // Deferred failovers first: an unprotected cell whose primary already
-  // died has been waiting for exactly this — give it a member and
+  // died has been waiting for exactly this — give it a live standby and
   // migrate now. Counted separately from notification-driven failovers
   // so the notification identity stays an identity.
   for (auto& [ru_value, state] : rus_) {
-    if (state.secondary != PhyId{} || state.boundary.has_value()) {
+    if (state.boundary.has_value() || state.failed_phy == PhyId{} ||
+        state.failed_phy != state.primary) {
       continue;
     }
-    if (state.failed_phy == PhyId{} || state.failed_phy != state.primary) {
+    const PhyId target = failover_target(state);
+    if (target == PhyId{}) {
       continue;
     }
-    const PhyId next = next_pool_standby();
-    if (next == PhyId{}) {
-      break;
-    }
-    assign_standby(state, next);
     ++stats_.deferred_failovers_executed;
     initiate_failover(state, port_.now(), /*deferred=*/true);
-    consume_pool_member(next);
+    consume_pool_member(target);
   }
-  // Then refill empty secondary slots of cells whose primary is alive.
+  // Then refill vacant secondary slots (empty, or held by the PHY the
+  // cell failed away from) of cells whose primary is alive.
   for (auto& [ru_value, state] : rus_) {
-    if (state.secondary != PhyId{} || state.boundary.has_value()) {
+    if (standby_of(state) != PhyId{} || state.boundary.has_value()) {
       continue;
     }
     if (state.failed_phy != PhyId{} && state.failed_phy == state.primary) {
-      continue;  // dead primary and pool already exhausted above
+      continue;  // dead primary and no live standby left above
     }
     const PhyId next = next_pool_standby();
     if (next == PhyId{}) {
@@ -81,19 +83,31 @@ void OrionCore::add_pool_standby(PhyId phy) {
 }
 
 std::size_t OrionCore::pool_available() const {
-  return std::size_t(std::count_if(pool_.begin(), pool_.end(), [](auto& m) {
-    return m.state == PoolState::kAvailable;
+  return std::size_t(std::count_if(pool_.begin(), pool_.end(), [&](auto& m) {
+    return m.state == PoolState::kAvailable && !suspect(m.id);
   }));
+}
+
+bool OrionCore::is_primary(PhyId phy) const {
+  return std::any_of(rus_.begin(), rus_.end(),
+                     [&](auto& entry) { return entry.second.primary == phy; });
+}
+
+bool OrionCore::in_pool(PhyId phy) const {
+  return std::any_of(pool_.begin(), pool_.end(),
+                     [&](auto& m) { return m.id == phy; });
+}
+
+bool OrionCore::suspect(PhyId phy) const {
+  return std::find(suspects_.begin(), suspects_.end(), phy) != suspects_.end();
 }
 
 PhyId OrionCore::next_pool_standby() const {
   for (const auto& m : pool_) {
     // A member that is (or is becoming) a primary is not a standby,
     // whatever its recorded state.
-    const bool is_primary =
-        std::any_of(rus_.begin(), rus_.end(),
-                    [&](auto& entry) { return entry.second.primary == m.id; });
-    if (m.state == PoolState::kAvailable && !is_primary) {
+    if (m.state == PoolState::kAvailable && !is_primary(m.id) &&
+        !suspect(m.id)) {
       return m.id;
     }
   }
@@ -102,6 +116,9 @@ PhyId OrionCore::next_pool_standby() const {
 
 void OrionCore::assign_standby(RuState& state, PhyId phy) {
   state.secondary = phy;
+  if (state.failed_phy == phy) {
+    state.failed_phy = PhyId{};  // revived into the cell it failed from
+  }
   // The member may never have seen this RU's init sequence (§6.3) — a
   // shared standby must hold PHY state for every cell it backs.
   for (const auto& msg : state.init_messages) {
@@ -120,10 +137,44 @@ void OrionCore::assign_standby(RuState& state, PhyId phy) {
                   config_.slots.slot_at(port_.now()));
 }
 
-void OrionCore::consume_pool_member(PhyId phy) {
-  if (!pool_mode_) {
+void OrionCore::release_standby(RuState& state) {
+  // The standby may be alive and still backing other cells: stop this
+  // RU's carrier on it, or its FAPI-starvation watchdog kills the whole
+  // process once this RU's null feed ceases.
+  port_.to_phy(state.secondary,
+               FapiMessage{state.ru, config_.slots.slot_at(port_.now()),
+                           StopRequest{state.ru}});
+  state.secondary = PhyId{};
+}
+
+PhyId OrionCore::failover_target(RuState& state) {
+  state.secondary = standby_of(state);  // drop a PHY it failed away from
+  if (state.secondary != PhyId{} && !suspect(state.secondary)) {
+    return state.secondary;
+  }
+  const PhyId next = next_pool_standby();
+  if (next != PhyId{}) {
+    if (state.secondary != PhyId{}) {
+      release_standby(state);
+    }
+    assign_standby(state, next);
+  }
+  return next;
+}
+
+void OrionCore::return_to_pool(PhyId phy) {
+  if (is_primary(phy)) {
     return;
   }
+  for (auto& m : pool_) {
+    if (m.id == phy && m.state == PoolState::kConsumed) {
+      m.state = PoolState::kAvailable;
+      notify_pool(PoolEvent::kRestored, phy);
+    }
+  }
+}
+
+void OrionCore::consume_pool_member(PhyId phy) {
   for (auto& m : pool_) {
     if (m.id == phy && m.state == PoolState::kAvailable) {
       m.state = PoolState::kConsumed;
@@ -139,13 +190,7 @@ void OrionCore::consume_pool_member(PhyId phy) {
         state.primary == phy) {
       continue;
     }
-    // The member keeps running (it is being promoted): stop the carriers
-    // of the RUs it no longer backs, or their FAPI-starvation watchdogs
-    // kill the whole process once the null feeds cease.
-    port_.to_phy(phy, FapiMessage{state.ru,
-                                  config_.slots.slot_at(port_.now()),
-                                  StopRequest{state.ru}});
-    state.secondary = PhyId{};
+    release_standby(state);
     const PhyId next = next_pool_standby();
     if (next != PhyId{}) {
       assign_standby(state, next);
@@ -165,7 +210,7 @@ PhyId OrionCore::active_phy(RuId ru) const {
 
 PhyId OrionCore::standby_phy(RuId ru) const {
   const auto it = rus_.find(ru.value());
-  return it == rus_.end() ? PhyId{} : it->second.secondary;
+  return it == rus_.end() ? PhyId{} : standby_of(it->second);
 }
 
 std::pair<PhyId, PhyId> OrionCore::route_for_slot(RuState& state,
@@ -180,11 +225,12 @@ std::pair<PhyId, PhyId> OrionCore::route_for_slot(RuState& state,
     std::swap(state.primary, state.secondary);
     const std::int64_t boundary = state.previous_until_slot;
     state.boundary.reset();
-    if (pool_mode_ && state.secondary != PhyId{} &&
-        state.secondary == state.failed_phy) {
+    if (state.secondary != state.failed_phy) {
+      return_to_pool(state.secondary);  // a live demoted member
+    } else {
       // Failover swap: the slot vacated by the dead primary is refilled
-      // from the shared pool (or left empty until a member returns).
-      state.secondary = PhyId{};
+      // from the shared pool. Without a free member the failed PHY keeps
+      // the slot, fed nothing, until it is revived or rehabilitated.
       const PhyId next = next_pool_standby();
       if (next != PhyId{}) {
         assign_standby(state, next);
@@ -219,7 +265,7 @@ void OrionCore::on_l2_request(FapiMessage&& msg) {
     case FapiMsgType::kStopRequest:
       // ... and send lifecycle to both the primary and the hot standby.
       port_.to_phy(state.primary, msg);
-      if (state.secondary != state.failed_phy) {
+      if (state.secondary != PhyId{} && state.secondary != state.failed_phy) {
         port_.to_phy(state.secondary, msg);
       }
       return;
@@ -287,29 +333,14 @@ void OrionCore::on_phy_indication(PhyId from, FapiMessage&& msg) {
     state.swap_wall_slot = -1;
   }
 
-  // False-positive failover recovery: a *fresh* indication from the PHY
-  // we failed away from proves the process is alive — the detector
-  // tripped on lost heartbeats, not a dead PHY. Refill the standby slot
-  // (its keepalive feed resumes) instead of starving a healthy process
-  // to death. Staleness-guarded so delayed datagrams from before a real
-  // crash cannot resurrect a corpse.
-  if (state.failed_phy == from &&
+  // False-positive recovery: a *fresh* indication from a PHY we failed
+  // away from, or from a suspect standby, proves the process is alive —
+  // the detector tripped on lost heartbeats, not a dead PHY.
+  // Staleness-guarded so delayed datagrams from before a real crash
+  // cannot resurrect a corpse.
+  if ((state.failed_phy == from || suspect(from)) &&
       wall_slot - msg.slot <= kRehabFreshnessSlots) {
-    for (auto& [other_ru, other_state] : rus_) {
-      if (other_state.failed_phy == from) {
-        other_state.failed_phy = PhyId{};
-        ++stats_.rehabilitations;
-        if (tap_ != nullptr) {
-          tap_->on_rehabilitate(RuId{other_ru}, from);
-        }
-        SLS_TRACE_EVENT(port_, obs::ObsEvent::kRehabilitated, from.value(),
-                        msg.slot);
-      }
-    }
-    SLOG_WARN("orion",
-              "%s false-positive failover: phy %u is alive, standby feed "
-              "resumes",
-              name_.c_str(), from.value());
+    rehabilitate(from, msg.slot);
   }
 
   bool forward = false;
@@ -338,6 +369,34 @@ void OrionCore::on_phy_indication(PhyId from, FapiMessage&& msg) {
   }
   ++stats_.responses_forwarded;
   port_.to_l2(std::move(msg));
+}
+
+void OrionCore::rehabilitate(PhyId phy, std::int64_t slot) {
+  // A failed-over primary gets its standby slot back (its keepalive feed
+  // resumes) instead of being starved to death ...
+  for (auto& [ru_value, state] : rus_) {
+    if (state.failed_phy == phy) {
+      state.failed_phy = PhyId{};
+      ++stats_.rehabilitations;
+      if (tap_ != nullptr) {
+        tap_->on_rehabilitate(RuId{ru_value}, phy);
+      }
+      SLS_TRACE_EVENT(port_, obs::ObsEvent::kRehabilitated, phy.value(), slot);
+    }
+  }
+  return_to_pool(phy);
+  // ... and a suspect standby is a failover target again.
+  if (suspect(phy)) {
+    std::erase(suspects_, phy);
+    ++stats_.rehabilitations;
+    SLS_TRACE_EVENT(port_, obs::ObsEvent::kRehabilitated, phy.value(), slot);
+    if (in_pool(phy)) {
+      notify_pool(PoolEvent::kRestored, phy);
+    }
+    restore_protection();
+  }
+  SLOG_WARN("orion", "%s false-positive detection: phy %u is alive",
+            name_.c_str(), phy.value());
 }
 
 MigrationEvent OrionCore::start_migration(RuState& state,
@@ -424,25 +483,25 @@ void OrionCore::on_failure_notification(PhyId failed) {
     if (state.failed_phy == failed) {
       continue;  // re-delivered unprotected episode, counted above
     }
-    if (state.secondary == PhyId{}) {
-      // Pool exhausted at failure time: enter the explicit unprotected
-      // state. No stale swap — the cell stays down until
-      // add_pool_standby supplies a member and executes the deferred
-      // failover.
-      state.failed_phy = failed;
+    const PhyId target = failover_target(state);
+    state.failed_phy = failed;
+    if (target == PhyId{}) {
+      // No live standby at failure time: enter the explicit unprotected
+      // state. No stale swap — the cell stays down until a live standby
+      // appears (add_pool_standby, or a suspect standby speaking) and
+      // executes the deferred failover.
       any_unprotected = true;
       SLOG_WARN("orion",
-                "%s ru=%u UNPROTECTED: primary phy %u failed with the "
-                "standby pool exhausted",
+                "%s ru=%u UNPROTECTED: primary phy %u failed with no live "
+                "standby",
                 name_.c_str(), state.ru.value(), failed.value());
       notify_pool(PoolEvent::kExhausted, failed);
       continue;
     }
     any_failover = true;
-    state.failed_phy = failed;
-    if (std::find(promoted.begin(), promoted.end(), state.secondary) ==
+    if (std::find(promoted.begin(), promoted.end(), target) ==
         promoted.end()) {
-      promoted.push_back(state.secondary);
+      promoted.push_back(target);
     }
     initiate_failover(state, notified_at, /*deferred=*/false);
   }
@@ -468,91 +527,43 @@ void OrionCore::on_failure_notification(PhyId failed) {
     ++stats_.unprotected_notifications;
     return;
   }
-  if (any_duplicate) {
+  if (any_duplicate || suspect(failed)) {
     ++stats_.duplicate_notifications_ignored;
     return;
   }
-  // Pool mode only: the dead PHY may be a *standby* (primary nowhere).
-  // Mark the member dead and re-point every RU it backed — including a
-  // mid-consume target (an RU with a pending boundary aimed at it),
-  // which is redirected to the next member or falls back unprotected.
-  if (pool_mode_) {
-    bool standby_hit = false;
-    for (auto& m : pool_) {
-      if (m.id == failed && m.state != PoolState::kDead) {
-        m.state = PoolState::kDead;
-        standby_hit = true;
-        notify_pool(PoolEvent::kMemberDead, failed);
-      }
-    }
-    for (auto& [rv, state] : rus_) {
-      if (state.secondary != failed || state.primary == failed) {
-        continue;
-      }
-      standby_hit = true;
-      state.secondary = PhyId{};
-      const PhyId next = next_pool_standby();
-      if (state.boundary.has_value()) {
-        // The failover target itself died before the swap: redirect the
-        // pending migration — never swap onto a corpse.
-        state.boundary.reset();
-        if (next != PhyId{}) {
-          assign_standby(state, next);
-          ++stats_.standbys_reassigned;
-          initiate_failover(state, notified_at, /*deferred=*/false);
-          consume_pool_member(next);
-        } else {
-          SLOG_WARN("orion",
-                    "%s ru=%u UNPROTECTED: failover target phy %u died "
-                    "mid-consume with the pool exhausted",
-                    name_.c_str(), state.ru.value(), failed.value());
-        }
-      } else if (next != PhyId{}) {
-        assign_standby(state, next);
-        ++stats_.standbys_reassigned;
-      }
-    }
-    if (standby_hit) {
-      ++stats_.standby_failures;
-      return;
-    }
-  }
-  ++stats_.stale_notifications_ignored;
-}
-
-void OrionCore::adopt_standby(RuId ru, PhyId phy) {
-  auto it = rus_.find(ru.value());
-  if (it == rus_.end()) {
+  // The dead PHY is a standby (primary nowhere): suspect until it
+  // speaks. It keeps its cells and its null feed and no command goes
+  // out, so a false positive costs nothing; a pending boundary aimed at
+  // it is redirected to the next member — never a swap onto a corpse.
+  const bool member = in_pool(failed);
+  const bool backs_a_cell = std::any_of(rus_.begin(), rus_.end(), [&](auto& e) {
+    return e.second.secondary == failed;
+  });
+  if (!member && !backs_a_cell) {
+    ++stats_.stale_notifications_ignored;
     return;
   }
-  auto& state = it->second;
-  state.secondary = phy;
-  state.failed_phy = PhyId{};  // episode over: the slot is filled again
-  // Replay the stored initialization sequence so the new standby brings
-  // up PHY processing for this RU (§6.3).
-  for (const auto& msg : state.init_messages) {
-    port_.to_phy(phy, msg);
+  ++stats_.standby_failures;
+  suspects_.push_back(failed);
+  if (member) {
+    notify_pool(PoolEvent::kMemberDead, failed);
   }
-  if (tap_ != nullptr) {
-    tap_->on_adopt(ru, phy);
-  }
-  SLS_TRACE_EVENT(port_, obs::ObsEvent::kAdoptStandby, phy.value(),
-                  config_.slots.slot_at(port_.now()));
-  SLOG_INFO("orion", "%s adopted new standby phy=%u for ru=%u", name_.c_str(),
-            phy.value(), ru.value());
-}
-
-void OrionCore::adopt_standby_all(PhyId phy) {
-  if (pool_mode_) {
-    add_pool_standby(phy);
-    return;
-  }
-  // A PHY can be the standby of several RUs; each needs its own init
-  // replay, or the others stay cold.
   for (auto& [ru_value, state] : rus_) {
-    if (state.secondary == phy || state.failed_phy == phy) {
-      adopt_standby(RuId{ru_value}, phy);
+    if (state.secondary != failed || !state.boundary.has_value()) {
+      continue;
     }
+    state.boundary.reset();
+    const PhyId next = failover_target(state);
+    if (next == PhyId{}) {
+      SLOG_WARN("orion",
+                "%s ru=%u UNPROTECTED: failover target phy %u died "
+                "mid-consume with the pool exhausted",
+                name_.c_str(), state.ru.value(), failed.value());
+      continue;
+    }
+    ++stats_.standbys_reassigned;
+    initiate_failover(state, notified_at, /*deferred=*/false);
+    consume_pool_member(next);
   }
 }
 

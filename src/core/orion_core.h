@@ -4,7 +4,7 @@
 //
 // The core never touches a socket, a NIC or a clock. Its inputs are
 // parsed L2 requests, parsed PHY indications tagged with their PhyId,
-// failure notifications and pool/adopt calls; every output goes through
+// failure notifications and pool calls; every output goes through
 // one OrionPort. Two adapters own the I/O: OrionL2Side (core/orion.h)
 // for the simulator and RealOrionRelay (core/real_orion.h) for real
 // processes, so both worlds make the same decisions by construction.
@@ -110,44 +110,52 @@ struct OrionL2Stats {
   std::uint64_t standby_responses_dropped = 0;
   std::uint64_t drained_responses_accepted = 0;  // Fig 7 pipeline drain
   // Every failure notification increments failure_notifications and
-  // exactly one outcome counter, so (asserted by bench/abl_fault_matrix)
-  //   failure_notifications == failovers_initiated
-  //                          + duplicate_notifications_ignored
-  //                          + stale_notifications_ignored
-  //                          + unprotected_notifications
-  //                          + standby_failures
-  // and duplicate deliveries never inflate the failover count.
+  // exactly one outcome counter (see notification_identity_holds), so
+  // duplicate deliveries never inflate the failover count.
   std::uint64_t failure_notifications = 0;
   std::uint64_t failovers_initiated = 0;
   // Re-delivered notification for an episode still pending or already
-  // executed (boundary set, or the phy is a known-failed standby slot).
+  // executed (boundary set, a known-failed slot, or a standby that is
+  // already suspect).
   std::uint64_t duplicate_notifications_ignored = 0;
-  // Notification for a phy that is primary nowhere and part of no
-  // episode (e.g. raced with a planned migration).
+  // Notification for a phy that is primary nowhere, backs no RU and is
+  // no pool member (e.g. raced with a planned migration).
   std::uint64_t stale_notifications_ignored = 0;
   // Fig 7 drain windows that expired with route state still held.
   std::uint64_t drain_windows_expired = 0;
-  std::uint64_t rehabilitations = 0;  // false-positive failovers rescinded
+  // False-positive detections rescinded: a failed-over primary or a
+  // suspect standby sent a fresh indication.
+  std::uint64_t rehabilitations = 0;
   std::uint64_t fapi_bytes_to_standby = 0;  // §8.5 network overhead
   // Datagrams that failed try_parse_fapi (each also raised an
   // ERROR.indication toward the L2).
   std::uint64_t parse_errors = 0;
-  // ---- Standby-pool (N+K) counters, all zero when the pool is unused.
-  // Notification for a primary whose pool is exhausted: the cell enters
-  // an explicit "unprotected" state (no stale swap) until a standby is
-  // added back, which then executes the failover.
+  // ---- Standby-pool (N+K) counters.
+  // Notification for a primary with no live standby: the cell enters
+  // an explicit "unprotected" state (no stale swap) until a live
+  // standby appears, which then executes the failover.
   std::uint64_t unprotected_notifications = 0;
-  // Notification for a PHY that is a pool standby (primary nowhere):
-  // the member is marked dead and the RUs it backed are re-pointed.
+  // Notification for a standby (primary nowhere): it becomes suspect —
+  // never a failover target, and a pending boundary aimed at it is
+  // redirected — until it speaks again.
   std::uint64_t standby_failures = 0;
   // Secondary slots refilled from the pool (after a member was consumed
-  // by a promotion or died).
+  // by a promotion or a failover vacated the slot).
   std::uint64_t standbys_reassigned = 0;
-  // Failovers executed when a standby arrived for an already-dead,
+  // Failovers executed when a live standby arrived for an already-dead,
   // unprotected primary (counted here, not in failovers_initiated, so
   // the notification identity stays an identity).
   std::uint64_t deferred_failovers_executed = 0;
 };
+
+// The notification identity: every failure notification lands in
+// exactly one outcome counter.
+[[nodiscard]] inline bool notification_identity_holds(const OrionL2Stats& s) {
+  return s.failure_notifications ==
+         s.failovers_initiated + s.duplicate_notifications_ignored +
+             s.stale_notifications_ignored + s.unprotected_notifications +
+             s.standby_failures;
+}
 
 // Everything the core emits, and the clock it reads. `now()` is
 // simulated time in the simulator and wall ns since the pacing epoch in
@@ -169,21 +177,22 @@ class OrionCore {
   OrionCore(OrionPort& port, std::string name, OrionL2Config config)
       : port_(port), name_(std::move(name)), config_(config) {}
 
-  // Configure which PHYs serve an RU (fixed primary/secondary pair).
-  void set_ru_phys(RuId ru, PhyId primary, PhyId secondary);
-
-  // ---- Shared standby pool (N primaries backed by K hot standbys) ----
+  // ---- Registration: N primaries + a shared pool of hot standbys ----
   // The paper's deployment note: secondaries need no dedicated servers —
-  // one hot standby can back several primaries. Registering an RU with
-  // set_ru_primary (instead of set_ru_phys) draws its secondary from the
-  // pool; pool members are shared across RUs until a failover *consumes*
-  // one (promotes it to primary), at which point every other RU backed
-  // by it is re-pointed at the next available member — or enters an
-  // explicit "unprotected" state if the pool is exhausted. Never a
-  // stale swap onto an already-consumed standby.
+  // one hot standby can back several primaries. Each RU registered with
+  // set_ru_primary draws its secondary from the pool; pool members are
+  // shared across RUs until a failover *consumes* one (promotes it to
+  // primary), at which point every other RU backed by it is re-pointed
+  // at the next available member — or enters an explicit "unprotected"
+  // state if the pool is exhausted. Never a stale swap onto an
+  // already-consumed standby.
+  //
+  // add_pool_standby is also the revive path: a restarted PHY rejoins
+  // the pool, gets the stored init sequence (§6.3) replayed for every RU
+  // it backs, and first executes any deferred failovers for unprotected
+  // cells whose primary already died.
   void add_pool_standby(PhyId phy);
   void set_ru_primary(RuId ru, PhyId primary);
-  [[nodiscard]] bool pool_mode() const { return pool_mode_; }
   // Pool members currently available as failover targets.
   [[nodiscard]] std::size_t pool_available() const;
 
@@ -194,21 +203,14 @@ class OrionCore {
   // it and tell the L2 (the stack above treats ERROR.indication as
   // advisory; HARQ retransmits whatever the lost indication acked).
   void on_parse_error(PhyId from, const char* error);
-  // The failure detector declared `failed` dead.
+  // The failure detector declared `failed` dead. A dead primary fails
+  // over to its live standby (or its cell goes unprotected); a dead
+  // standby is suspect until it speaks (see suspects_).
   void on_failure_notification(PhyId failed);
 
   // ---- Migration control (§6.3) ----
   // Planned migration of `ru` to its standby at slot `boundary`.
   void migrate(RuId ru, std::int64_t boundary_slot);
-  // Replay stored init messages to a (new) standby PHY — used to bring
-  // up a replacement secondary after a failover consumed the old one.
-  void adopt_standby(RuId ru, PhyId phy);
-  // Adopt a revived PHY as standby for *every* RU it backed (secondary
-  // or failed slot) — a PHY can be the standby of several RUs, and each
-  // needs its own init replay. In pool mode this returns the PHY to the
-  // pool, which also executes any deferred failovers for unprotected
-  // cells whose primary already died.
-  void adopt_standby_all(PhyId phy);
 
   // Notification hook for experiments (called on failover initiation).
   void set_on_failover(std::function<void(const MigrationEvent&)> callback) {
@@ -223,8 +225,8 @@ class OrionCore {
   enum class PoolEvent : std::uint8_t {
     kConsumed,    // failover promoted the member to someone's primary
     kExhausted,   // a cell needed a member and none was available
-    kMemberDead,  // the standby itself failed
-    kRestored,    // a member (re)joined via add_pool_standby
+    kMemberDead,  // the standby itself was declared dead (suspect)
+    kRestored,    // a member (re)joined, or a suspect member spoke again
   };
   using PoolObserver = std::function<void(PoolEvent, PhyId)>;
   void set_pool_observer(PoolObserver observer) {
@@ -235,6 +237,7 @@ class OrionCore {
   void set_tap(OrionL2Tap* tap) { tap_ = tap; }
 
   [[nodiscard]] PhyId active_phy(RuId ru) const;
+  // PhyId{} while the RU has no standby but the PHY it failed away from.
   [[nodiscard]] PhyId standby_phy(RuId ru) const;
   [[nodiscard]] const OrionL2Stats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<MigrationEvent>& migration_log() const {
@@ -257,16 +260,18 @@ class OrionCore {
     std::int64_t previous_until_slot = -1;
     std::int64_t swap_wall_slot = -1;  // wall slot the swap finalized at
     // A failover consumed this PHY; it gets no FAPI (not even nulls)
-    // until adopt_standby replaces or re-adopts it (§6.3).
+    // until it is re-assigned as a standby (§6.3) or rehabilitated.
+    // Equal to `primary` while the cell is unprotected (primary dead,
+    // no live standby to fail over to).
     PhyId failed_phy;
     // Stored initialization messages for standby replay (§6.3).
     std::vector<FapiMessage> init_messages;
   };
 
   // Shared-pool member lifecycle: available → consumed (promoted to
-  // primary by a failover) or dead (the standby itself failed). A
-  // revived PHY re-enters as available via add_pool_standby.
-  enum class PoolState : std::uint8_t { kAvailable, kConsumed, kDead };
+  // primary by a failover) → available again once it is demoted alive,
+  // rehabilitated, or revived via add_pool_standby.
+  enum class PoolState : std::uint8_t { kAvailable, kConsumed };
   struct PoolMember {
     PhyId id;
     PoolState state = PoolState::kAvailable;
@@ -279,11 +284,30 @@ class OrionCore {
   // finalizing the swap once the boundary has passed.
   [[nodiscard]] std::pair<PhyId, PhyId> route_for_slot(RuState& state,
                                                        std::int64_t slot);
-  // Pool helpers (no-ops outside pool mode).
+  // The RU's standby; PhyId{} if the slot is empty or holds the PHY the
+  // RU failed away from.
+  [[nodiscard]] static PhyId standby_of(const RuState& state) {
+    return state.secondary == state.failed_phy ? PhyId{} : state.secondary;
+  }
+  // Pool helpers.
   [[nodiscard]] PhyId next_pool_standby() const;
+  [[nodiscard]] bool is_primary(PhyId phy) const;
+  [[nodiscard]] bool in_pool(PhyId phy) const;
+  [[nodiscard]] bool suspect(PhyId phy) const;
   void assign_standby(RuState& state, PhyId phy);
+  void release_standby(RuState& state);
+  // The RU's standby if it is live, else the next pool member (which
+  // replaces a suspect standby); PhyId{} when there is none.
+  [[nodiscard]] PhyId failover_target(RuState& state);
   void consume_pool_member(PhyId phy);
+  // A consumed member that is primary nowhere and alive is available
+  // again.
+  void return_to_pool(PhyId phy);
   void initiate_failover(RuState& state, Nanos notified_at, bool deferred);
+  // Deferred failovers for unprotected cells, then refill every vacant
+  // secondary slot — run whenever a live standby (re)appears.
+  void restore_protection();
+  void rehabilitate(PhyId phy, std::int64_t slot);
   void notify_pool(PoolEvent event, PhyId phy) {
     if (pool_observer_) {
       pool_observer_(event, phy);
@@ -294,8 +318,12 @@ class OrionCore {
   std::string name_;
   OrionL2Config config_;
   std::map<std::uint8_t, RuState> rus_;
-  bool pool_mode_ = false;
   std::vector<PoolMember> pool_;
+  // Standbys the detector declared dead. A suspect keeps its cells and
+  // its null feed but is never a failover target; its next fresh
+  // indication rehabilitates it (a false positive clears within a slot),
+  // and a dead one stays excluded until revived via add_pool_standby.
+  std::vector<PhyId> suspects_;
   PoolObserver pool_observer_;
   std::function<void(const MigrationEvent&)> on_failover_;
   OrionL2Tap* tap_ = nullptr;

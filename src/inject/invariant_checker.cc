@@ -109,7 +109,8 @@ void InvariantChecker::on_fapi_to_phy(PhyId phy, const FapiMessage& msg) {
       violation("I6: FAPI to failed phy " + std::to_string(phy.value()) +
                 " at slot " + std::to_string(slot) + ", " +
                 std::to_string(slot - t.episode_swap_slot) +
-                " slots after failover swap (awaiting adopt_standby)");
+                " slots after failover swap (awaiting revive or "
+                "rehabilitation)");
     }
   }
 }

@@ -19,8 +19,9 @@
 //  I5  One failover per failure episode: no duplicate failure
 //      notifications or duplicate MigrationEvents for a PHY that is
 //      already failed, and no notifications for unwatched PHYs.
-//  I6  After a failover, no FAPI flows to the failed PHY until
-//      adopt_standby replaces it (§6.3).
+//  I6  After a failover, no FAPI flows to the failed PHY until it is
+//      revived into the pool as a standby (§6.3 init replay) or
+//      rehabilitated.
 //
 // Violations are collected (with simulator timestamps), not thrown, so
 // a single soak run reports every breach at once.

@@ -10,12 +10,11 @@
 namespace slingshot {
 namespace {
 
-// Station MAC plan for the edge datacenter. Slots 0/1 keep the original
-// A/B addresses; extra cells and pool PHYs extend into ranges chosen so
-// no extension collides with a legacy address (0x1A01 + p would hit the
-// Orion range at p = 16).
+// Station MAC plan for the edge datacenter. PHY/Orion slots 0/1 keep the
+// original A/B addresses; extra PHYs extend into ranges chosen so no
+// extension collides with them (0x1A01 + p would hit the Orion range at
+// p = 16).
 constexpr std::uint64_t kRuMac = 0x0A01;
-constexpr std::uint64_t kRu2Mac = 0x0A02;
 constexpr std::uint64_t kPhyAMac = 0x1A01;
 constexpr std::uint64_t kPhyBMac = 0x1B01;
 constexpr std::uint64_t kVirtualPhyMac = 0x1F00;  // RUs address this (§5.1)
@@ -27,9 +26,7 @@ constexpr std::uint64_t kL2GwMac = 0x3B01;
 constexpr std::uint64_t kL2bGwMac = 0x3B02;
 constexpr std::uint64_t kBaselineCtlMac = 0x3C01;
 
-std::uint64_t ru_mac_for(int cell) {
-  return cell == 0 ? kRuMac : cell == 1 ? kRu2Mac : kRuMac + std::uint64_t(cell);
-}
+std::uint64_t ru_mac_for(int cell) { return kRuMac + std::uint64_t(cell); }
 
 std::uint64_t phy_mac_for(int index) {
   if (index == 0) {
@@ -68,11 +65,8 @@ std::string ru_name_for(int cell) {
   return cell == 0 ? "ru" : "ru" + std::to_string(cell + 1);
 }
 
-// UE ids: cell 0 uses 1.., cell c uses 100*c+1.. (cell 1's 101.. is the
-// legacy num_ues_ru2 numbering).
-std::uint16_t ue_base_id(int cell) {
-  return cell == 0 ? 1 : std::uint16_t(100 * cell + 1);
-}
+// UE ids: cell c uses 100*c+1.. (cell 0: 1..).
+std::uint16_t ue_base_id(int cell) { return std::uint16_t(100 * cell + 1); }
 
 }  // namespace
 
@@ -80,43 +74,17 @@ Testbed::Testbed(TestbedConfig config) : config_(config), sim_(config.seed) {
   if (config_.ue.grant_starvation_timeout == 0) {
     config_.ue.grant_starvation_timeout = 300_ms;
   }
-  // Normalize the cell plan. The legacy num_ues/num_ues_ru2 form maps
-  // onto one or two cells with the fixed cross-assigned A/B pair; the
-  // `cells` form switches to dedicated primaries + a shared pool.
-  if (!config_.cells.empty()) {
-    pool_wiring_ = true;
-    for (const auto& spec : config_.cells) {
-      CellPlan p;
-      p.num_ues = spec.num_ues;
-      p.snrs = spec.ue_mean_snr_db;
-      p.bulk_ues = spec.bulk_ues;
-      plan_.push_back(std::move(p));
-    }
-    const int n = int(plan_.size());
-    num_phys_ = config_.num_phys > 0
-                    ? config_.num_phys
-                    : n + std::max(0, config_.standby_pool_size);
-    num_phys_ = std::max(num_phys_, n);
-  } else {
-    CellPlan p0;
-    p0.num_ues = config_.num_ues;
-    p0.snrs = config_.ue_mean_snr_db;
-    p0.bulk_ues = config_.bulk_ues;
-    if (int(p0.snrs.size()) > config_.num_ues) {
-      p0.snrs.resize(std::size_t(config_.num_ues));
-    }
-    plan_.push_back(std::move(p0));
-    if (config_.num_ues_ru2 > 0) {
-      CellPlan p1;
-      p1.num_ues = config_.num_ues_ru2;
-      for (std::size_t i = std::size_t(config_.num_ues);
-           i < config_.ue_mean_snr_db.size(); ++i) {
-        p1.snrs.push_back(config_.ue_mean_snr_db[i]);
-      }
-      plan_.push_back(std::move(p1));
-    }
-    num_phys_ = 2;
+  // The single-cell shorthand (num_ues, ue_mean_snr_db, bulk_ues) is
+  // one cell like any other: a dedicated primary plus the shared pool.
+  if (config_.cells.empty()) {
+    config_.cells.push_back(
+        CellSpec{config_.num_ues, config_.ue_mean_snr_db, config_.bulk_ues});
   }
+  const int n = num_cells();
+  num_phys_ = config_.num_phys > 0
+                  ? config_.num_phys
+                  : n + std::max(0, config_.standby_pool_size);
+  num_phys_ = std::max(num_phys_, n);
 
   log_time_.install([this] { return sim_.now(); });
   build_fabric();
@@ -144,13 +112,6 @@ Testbed::~Testbed() {
   }
 }
 
-int Testbed::primary_phy_index(int cell) const {
-  if (pool_wiring_) {
-    return cell;  // dedicated primary per cell
-  }
-  return cell == 0 ? 0 : 1;  // legacy cross-assignment
-}
-
 PhyProcess* Testbed::phy_by_id(PhyId id) {
   const int index = int(id.value()) - 1;
   if (index < 0 || index >= int(phys_.size())) {
@@ -160,9 +121,9 @@ PhyProcess* Testbed::phy_by_id(PhyId id) {
 }
 
 void Testbed::build_fabric() {
-  const int num_cells = int(plan_.size());
-  // Port plan: 0..9 are the legacy stations, extra RUs start at 10
-  // (so the legacy ru2 keeps port 10), extra PHYs + their Orions follow.
+  const int num_cells = this->num_cells();
+  // Port plan: 0..9 are the first cell's stations, extra RUs start at
+  // 10, extra PHYs + their Orions follow.
   const int extra_base = 10 + std::max(0, num_cells - 1);
   const int ports_needed = extra_base + 2 * std::max(0, num_phys_ - 2);
   switch_ = std::make_unique<ProgrammableSwitch>(sim_,
@@ -212,10 +173,10 @@ void Testbed::build_fabric() {
   for (int p = 0; p < num_phys_; ++p) {
     mbox_->register_phy(phy_id(p), MacAddr{phy_mac_for(p)});
   }
-  mbox_->bind_ru_to_phy(ru_id(0), phy_id(primary_phy_index(0)));
+  mbox_->bind_ru_to_phy(ru_id(0), phy_id(0));
   for (int c = 1; c < num_cells; ++c) {
     mbox_->register_ru(ru_id(c), MacAddr{ru_mac_for(c)});
-    mbox_->bind_ru_to_phy(ru_id(c), phy_id(primary_phy_index(c)));
+    mbox_->bind_ru_to_phy(ru_id(c), phy_id(c));
   }
   mbox_->set_dl_source_filter(config_.dl_source_filter);
   switch_->install_program(mbox_);
@@ -268,7 +229,7 @@ void Testbed::build_fabric() {
 }
 
 void Testbed::build_fabric_plane_b() {
-  const int num_cells = int(plan_.size());
+  const int num_cells = this->num_cells();
   switch_b_ = std::make_unique<ProgrammableSwitch>(sim_, switch_->num_ports());
 
   // Plane B runs its own middlebox instance for forwarding (UL
@@ -282,7 +243,7 @@ void Testbed::build_fabric_plane_b() {
   }
   for (int c = 0; c < num_cells; ++c) {
     mbox_b_->register_ru(ru_id(c), MacAddr{ru_mac_for(c)});
-    mbox_b_->bind_ru_to_phy(ru_id(c), phy_id(primary_phy_index(c)));
+    mbox_b_->bind_ru_to_phy(ru_id(c), phy_id(c));
   }
   mbox_b_->set_dl_source_filter(config_.dl_source_filter);
   switch_b_->install_program(mbox_b_);
@@ -324,15 +285,14 @@ void Testbed::build_fabric_plane_b() {
 }
 
 void Testbed::build_vran() {
-  const int num_cells = int(plan_.size());
+  const int num_cells = this->num_cells();
   for (int p = 0; p < num_phys_; ++p) {
     PhyConfig phy_cfg = config_.phy;
     phy_cfg.slots = config_.slots;
     phy_cfg.obs_phy_id = phy_id(p).value();
     // secondary_ldpc_iters models an upgraded PHY build on the standby
-    // side: PHY-B in the legacy pair, the pool members in pool wiring.
-    const bool is_standby = pool_wiring_ ? p >= num_cells : p == 1;
-    if (is_standby && config_.secondary_ldpc_iters > 0) {
+    // side: the pool members.
+    if (p >= num_cells && config_.secondary_ldpc_iters > 0) {
       phy_cfg.ldpc_max_iters = config_.secondary_ldpc_iters;
     }
     phys_.push_back(std::make_unique<PhyProcess>(
@@ -358,14 +318,14 @@ void Testbed::build_vran() {
   }
 
   for (int c = 0; c < num_cells; ++c) {
-    const auto& cell = plan_[std::size_t(c)];
+    const auto& cell = config_.cells[std::size_t(c)];
     for (int i = 0; i < cell.num_ues; ++i) {
       UeConfig ue_cfg = config_.ue;
       ue_cfg.id = UeId{std::uint16_t(ue_base_id(c) + i)};
       ue_cfg.slots = config_.slots;
       FadingConfig fading = config_.fading;
-      if (i < int(cell.snrs.size())) {
-        fading.mean_snr_db = cell.snrs[std::size_t(i)];
+      if (i < int(cell.ue_mean_snr_db.size())) {
+        fading.mean_snr_db = cell.ue_mean_snr_db[std::size_t(i)];
       }
       auto ue = std::make_unique<UserEquipment>(
           sim_, "ue-" + std::to_string(ue_cfg.id.value()), ue_cfg, fading,
@@ -381,7 +341,7 @@ void Testbed::build_vran() {
   // batch rides configured grants (no per-UE L2 context) and owns a
   // private RNG, so attaching it perturbs no tracer UE.
   for (int c = 0; c < num_cells; ++c) {
-    const int bulk = plan_[std::size_t(c)].bulk_ues;
+    const int bulk = config_.cells[std::size_t(c)].bulk_ues;
     if (bulk <= 0) {
       batches_.push_back(nullptr);
       continue;
@@ -408,7 +368,7 @@ void Testbed::build_vran() {
 }
 
 void Testbed::wire_slingshot() {
-  const int num_cells = int(plan_.size());
+  const int num_cells = this->num_cells();
   for (int p = 0; p < num_phys_; ++p) {
     orion_phys_.push_back(std::make_unique<OrionPhySide>(
         sim_, "orion-" + unit_suffix(p), *orion_phy_nics_[std::size_t(p)],
@@ -449,24 +409,15 @@ void Testbed::wire_slingshot() {
   for (int p = 0; p < num_phys_; ++p) {
     orion_phys_[std::size_t(p)]->set_l2_orion_mac(MacAddr{kOrionL2Mac});
   }
-  if (pool_wiring_) {
-    for (int p = 0; p < num_phys_; ++p) {
-      orion_l2_->add_phy_peer(phy_id(p), MacAddr{orion_mac_for(p)});
-    }
-    // Pool members first, so every set_ru_primary finds a standby.
-    for (int p = num_cells; p < num_phys_; ++p) {
-      orion_l2_->add_pool_standby(phy_id(p), MacAddr{orion_mac_for(p)});
-    }
-    for (int c = 0; c < num_cells; ++c) {
-      orion_l2_->set_ru_primary(ru_id(c), phy_id(primary_phy_index(c)));
-    }
-  } else {
-    orion_l2_->add_phy_peer(kPhyA, MacAddr{kOrionAMac});
-    orion_l2_->add_phy_peer(kPhyB, MacAddr{kOrionBMac});
-    orion_l2_->set_ru_phys(kRu, kPhyA, kPhyB);
-    if (num_cells > 1) {
-      orion_l2_->set_ru_phys(kRu2, kPhyB, kPhyA);  // cross-assigned
-    }
+  for (int p = 0; p < num_phys_; ++p) {
+    orion_l2_->add_phy_peer(phy_id(p), MacAddr{orion_mac_for(p)});
+  }
+  // Pool members first, so every set_ru_primary finds a standby.
+  for (int p = num_cells; p < num_phys_; ++p) {
+    orion_l2_->add_pool_standby(phy_id(p), MacAddr{orion_mac_for(p)});
+  }
+  for (int c = 0; c < num_cells; ++c) {
+    orion_l2_->set_ru_primary(ru_id(c), phy_id(c));
   }
 }
 
@@ -586,7 +537,7 @@ void Testbed::start() {
     sim_.after(5_ms, [this, notify_mac] {
       for (int p = 0; p < num_phys_; ++p) {
         const PhyId id = phy_id(p);
-        if (pool_wiring_ && orion_l2_ != nullptr) {
+        if (orion_l2_ != nullptr) {
           bool in_use = false;
           for (int c = 0; c < num_cells() && !in_use; ++c) {
             in_use = orion_l2_->active_phy(ru_id(c)) == id ||
@@ -667,14 +618,10 @@ void Testbed::revive_phy_as_standby(PhyId phy) {
     return;
   }
   dead->restart();
-  // Init replay covers every RU this PHY backs — a standby shared by
-  // several cells must come back warm for all of them.
-  orion_l2_->adopt_standby_all(phy,
-                               MacAddr{orion_mac_for(int(phy.value()) - 1)});
-  // Re-arm the failure detector once the revived PHY's heartbeats flow.
-  sim_.after(5_ms, [this, phy] {
-    mbox_->watch_phy(phy, MacAddr{kOrionL2Mac});
-  });
+  // The PHY rejoins the pool: Orion replays the init sequence of every
+  // RU it backs and arms its failure detector once heartbeats flow.
+  orion_l2_->add_pool_standby(phy,
+                              MacAddr{orion_mac_for(int(phy.value()) - 1)});
 }
 
 void Testbed::revive_dead_phy_as_standby() {

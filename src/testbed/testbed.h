@@ -15,13 +15,13 @@
 //                        re-routed to the backup stack, but the UE must
 //                        re-attach from scratch (§8.1's 6.2 s outage).
 //
-// Scale: the legacy configuration (num_ues / num_ues_ru2) builds the
-// original fixed A/B pair — one or two RUs, two PHYs, cross-assigned
-// primaries — and is bit-identical to the pre-scale-out testbed
-// (pinned by tests/testbed/test_golden_trace.cc). Setting `cells`
-// instead builds N cells × M PHYs where the first N PHYs are dedicated
-// primaries and the remainder form a *shared standby pool* (the
-// paper's deployment note: secondaries need no dedicated servers).
+// Scale: every testbed is N cells × M PHYs. The first N PHYs are the
+// cells' dedicated primaries and the remainder form Orion's *shared
+// standby pool* (the paper's deployment note: secondaries need no
+// dedicated servers). The single-cell shorthand (num_ues,
+// ue_mean_snr_db, bulk_ues) is one cell backed by standby_pool_size
+// standbys — by default PHY-A primary, PHY-B standby, the pair the
+// golden traces pin (tests/testbed/test_golden_trace.cc).
 #pragma once
 
 #include <memory>
@@ -93,19 +93,15 @@ struct FabricConfig {
 struct TestbedConfig {
   std::uint64_t seed = 1;
   TestbedMode mode = TestbedMode::kSlingshot;
+  // Single-cell shorthand, used when `cells` is empty.
   int num_ues = 1;
   std::vector<double> ue_mean_snr_db;  // per-UE; default 20 dB
-  // Second radio unit (kSlingshot mode only). Its UEs get ids starting
-  // at 101. Per the paper's deployment note, primaries and secondaries
-  // for different RUs are co-located within the PHY processes: RU 1 is
-  // primary on PHY-A / standby on PHY-B, RU 2 the other way around.
-  int num_ues_ru2 = 0;
 
-  // ---- Multi-cell scale-out (kSlingshot mode) ----
-  // When non-empty, overrides num_ues/num_ues_ru2: cell c gets
-  // RuId{c+1}, UE ids 100*c+1.., and PHY index c (PhyId{c+1}) as its
-  // dedicated primary. PHYs beyond the cell count join Orion's shared
-  // standby pool.
+  // ---- Cells (kSlingshot mode) ----
+  // Cell c gets RuId{c+1}, UE ids 100*c+1.., and PHY index c
+  // (PhyId{c+1}) as its dedicated primary. PHYs beyond the cell count
+  // join Orion's shared standby pool. Empty: one cell from the
+  // shorthand above.
   std::vector<CellSpec> cells;
   // Total PHY processes. 0 derives cells.size() + standby_pool_size;
   // an explicit value is clamped to at least cells.size() (a value of
@@ -114,8 +110,8 @@ struct TestbedConfig {
   // Shared hot standbys backing all primaries (used when num_phys==0).
   int standby_pool_size = 1;
 
-  // Massive-UE mode, legacy single-cell form: batched UEs added to
-  // cell 0 (the `cells` form sets CellSpec::bulk_ues per cell instead).
+  // Massive-UE mode, single-cell shorthand: batched UEs added to the
+  // one cell (the `cells` form sets CellSpec::bulk_ues per cell instead).
   int bulk_ues = 0;
   // Template for every cell's batch: traffic mix, churn, DL error
   // model. Per-cell fields (schedule.cell, population, seed, fading,
@@ -169,11 +165,10 @@ class Testbed {
   // ABLATION: migration that oracle-transfers the PHY's soft state
   // (HARQ buffers + SNR filters) instead of discarding it.
   void planned_migration_with_state_transfer(int lead_slots = 4);
-  // Restart a dead PHY process and adopt it as a standby again: Orion
+  // Restart a dead PHY process and return it to the shared pool: Orion
   // replays the stored initialization sequence for *every* RU the PHY
-  // backs (§6.3) and the failure detector re-arms. In pool
-  // configurations the PHY rejoins the shared pool, which also executes
-  // any deferred failovers for unprotected cells.
+  // backs (§6.3), re-arms its failure detector, and executes any
+  // deferred failovers for unprotected cells.
   void revive_phy_as_standby(PhyId phy);
   // Legacy alias: revive whichever PHY is dead (first by index).
   void revive_dead_phy_as_standby();
@@ -181,7 +176,7 @@ class Testbed {
   // ---- Component access ----
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
-  [[nodiscard]] int num_cells() const { return int(plan_.size()); }
+  [[nodiscard]] int num_cells() const { return int(config_.cells.size()); }
   [[nodiscard]] int num_phys() const { return num_phys_; }
   [[nodiscard]] RuId ru_id(int cell) const {
     return RuId{std::uint8_t(cell + 1)};
@@ -206,7 +201,6 @@ class Testbed {
     return *rus_.at(std::size_t(cell));
   }
   [[nodiscard]] RadioUnit& ru() { return *rus_.at(0); }
-  [[nodiscard]] RadioUnit& ru2() { return *rus_.at(1); }
   // UE by global index (cells in order; within a cell, attach order).
   [[nodiscard]] UserEquipment& ue(int i) { return *ues_.at(std::size_t(i)); }
   // Cell index serving UE i.
@@ -311,25 +305,16 @@ class Testbed {
   void attach_observability(obs::Observability& o);
 
   static constexpr RuId kRu{1};
-  static constexpr RuId kRu2{2};
   static constexpr PhyId kPhyA{1};
   static constexpr PhyId kPhyB{2};
 
  private:
-  // Normalized per-cell plan (from `cells`, or num_ues/num_ues_ru2).
-  struct CellPlan {
-    int num_ues = 0;
-    std::vector<double> snrs;
-    int bulk_ues = 0;
-  };
-
   void build_fabric();
   void build_fabric_plane_b();
   void build_vran();
   void wire_slingshot();
   void wire_coupled();
   void wire_baseline();
-  [[nodiscard]] int primary_phy_index(int cell) const;
 
   TestbedConfig config_;
   Simulator sim_;
@@ -338,11 +323,7 @@ class Testbed {
   ScopedLogTimeSource log_time_;
   obs::Observability* obs_ = nullptr;
 
-  std::vector<CellPlan> plan_;
   int num_phys_ = 2;
-  // True when `cells` drives the build: dedicated primaries + a shared
-  // Orion standby pool instead of the fixed cross-assigned A/B pair.
-  bool pool_wiring_ = false;
 
   // Fabric.
   std::unique_ptr<ProgrammableSwitch> switch_;

@@ -68,8 +68,8 @@ struct OrionFixture {
     orion_2->set_l2_orion_mac(MacAddr{0x10});
     orion_l2->connect_l2(&to_l2);
     orion_l2->add_phy_peer(PhyId{1}, MacAddr{0x11});
-    orion_l2->add_phy_peer(PhyId{2}, MacAddr{0x12});
-    orion_l2->set_ru_phys(RuId{1}, PhyId{1}, PhyId{2});
+    orion_l2->add_pool_standby(PhyId{2}, MacAddr{0x12});
+    orion_l2->set_ru_primary(RuId{1}, PhyId{1});
   }
 
   void l2_sends(FapiMessage msg) { orion_l2->on_fapi(std::move(msg)); }
@@ -139,10 +139,10 @@ TEST(OrionL2Side, AdoptStandbyReplaysInitSequence) {
   f.l2_sends(FapiMessage{RuId{1}, 0, ConfigRequest{CarrierConfig{RuId{1}}}});
   f.l2_sends(FapiMessage{RuId{1}, 0, StartRequest{RuId{1}}});
   f.sim.run_until(1_ms);
-  // A brand-new standby (reusing PHY 2's address here) gets the stored
-  // init messages replayed.
+  // A restarted standby rejoining the pool gets the stored init
+  // messages replayed.
   const auto before = f.phy2.messages.size();
-  f.orion_l2->adopt_standby(RuId{1}, PhyId{2}, MacAddr{0x12});
+  f.orion_l2->add_pool_standby(PhyId{2}, MacAddr{0x12});
   f.sim.run_until(2_ms);
   EXPECT_EQ(f.phy2.messages.size(), before + 2);
   EXPECT_EQ(f.orion_l2->standby_phy(RuId{1}), PhyId{2});
@@ -333,7 +333,10 @@ struct CoreFixture {
   RecordingPort port;
   OrionL2Config config{};
   OrionCore core{port, "core", config};
-  CoreFixture() { core.set_ru_phys(RuId{1}, PhyId{1}, PhyId{2}); }
+  CoreFixture() {
+    core.add_pool_standby(PhyId{2});
+    core.set_ru_primary(RuId{1}, PhyId{1});
+  }
 };
 
 TEST(OrionCore, RealRequestToPrimaryNullToStandby) {
@@ -422,6 +425,105 @@ TEST(OrionCore, DuplicateNotificationIsOnlyCounted) {
   EXPECT_EQ(f.port.phy_sends.size(), phy_sends);
   EXPECT_EQ(f.port.l2_sends.size(), l2_sends);
   EXPECT_EQ(f.port.switch_sends.size(), switch_sends);
+}
+
+TEST(OrionCore, StandbyNotificationSendsNothing) {
+  CoreFixture f;
+  f.port.clock = f.config.slots.slot_start(100);
+  f.core.on_failure_notification(PhyId{2});
+  // Suspect until it speaks: no migration, no command, no lost cell.
+  EXPECT_EQ(f.core.stats().standby_failures, 1U);
+  EXPECT_TRUE(notification_identity_holds(f.core.stats()));
+  EXPECT_TRUE(f.core.migration_log().empty());
+  EXPECT_TRUE(f.port.phy_sends.empty());
+  EXPECT_TRUE(f.port.switch_sends.empty());
+  EXPECT_EQ(f.core.standby_phy(RuId{1}), PhyId{2});
+  EXPECT_EQ(f.core.pool_available(), 0U);
+  // It keeps its null feed.
+  f.core.on_l2_request(dl_tti(101));
+  ASSERT_EQ(f.port.phy_sends.size(), 2U);
+  EXPECT_EQ(f.port.phy_sends[1].first, PhyId{2});
+  EXPECT_TRUE(
+      std::get<DlTtiRequest>(f.port.phy_sends[1].second.body).pdus.empty());
+  // A re-delivery is a duplicate, not a second standby failure.
+  f.core.on_failure_notification(PhyId{2});
+  EXPECT_EQ(f.core.stats().standby_failures, 1U);
+  EXPECT_EQ(f.core.stats().duplicate_notifications_ignored, 1U);
+  EXPECT_TRUE(notification_identity_holds(f.core.stats()));
+}
+
+TEST(OrionCore, FreshStandbyIndicationRehabilitatesIt) {
+  CoreFixture f;
+  const SlotConfig& slots = f.config.slots;
+  f.port.clock = slots.slot_start(100);
+  f.core.on_failure_notification(PhyId{2});
+  ASSERT_EQ(f.core.pool_available(), 0U);
+  // A delayed datagram from long before is no proof of life ...
+  f.core.on_phy_indication(PhyId{2},
+                           FapiMessage{RuId{1}, 50, SlotIndication{}});
+  EXPECT_EQ(f.core.pool_available(), 0U);
+  EXPECT_EQ(f.core.stats().rehabilitations, 0U);
+  // ... a fresh one is: the standby is a failover target again.
+  f.core.on_phy_indication(PhyId{2},
+                           FapiMessage{RuId{1}, 100, SlotIndication{}});
+  EXPECT_EQ(f.core.pool_available(), 1U);
+  EXPECT_EQ(f.core.stats().rehabilitations, 1U);
+  EXPECT_TRUE(f.port.l2_sends.empty());  // still a standby's indication
+  f.core.on_failure_notification(PhyId{1});
+  ASSERT_EQ(f.core.migration_log().size(), 1U);
+  EXPECT_EQ(f.core.migration_log()[0].to, PhyId{2});
+}
+
+TEST(OrionCore, SuspectStandbySpeakingRunsTheDeferredFailover) {
+  CoreFixture f;
+  f.port.clock = f.config.slots.slot_start(100);
+  f.core.on_failure_notification(PhyId{2});
+  // The primary dies while its only standby is suspect: unprotected.
+  f.core.on_failure_notification(PhyId{1});
+  EXPECT_EQ(f.core.stats().unprotected_notifications, 1U);
+  EXPECT_TRUE(f.core.migration_log().empty());
+  // The standby proves itself alive: the failover waits no longer.
+  f.core.on_phy_indication(PhyId{2},
+                           FapiMessage{RuId{1}, 100, SlotIndication{}});
+  EXPECT_EQ(f.core.stats().deferred_failovers_executed, 1U);
+  ASSERT_EQ(f.core.migration_log().size(), 1U);
+  EXPECT_EQ(f.core.migration_log()[0].from, PhyId{1});
+  EXPECT_EQ(f.core.migration_log()[0].to, PhyId{2});
+  EXPECT_TRUE(notification_identity_holds(f.core.stats()));
+}
+
+TEST(OrionCore, SuspectStandbyIsSkippedAtFailover) {
+  RecordingPort port;
+  OrionL2Config config{};
+  OrionCore core{port, "core", config};
+  core.add_pool_standby(PhyId{2});
+  core.add_pool_standby(PhyId{3});
+  core.set_ru_primary(RuId{1}, PhyId{1});
+  core.on_l2_request(
+      FapiMessage{RuId{1}, 0, ConfigRequest{CarrierConfig{RuId{1}}}});
+  ASSERT_EQ(core.standby_phy(RuId{1}), PhyId{2});
+  port.clock = config.slots.slot_start(100);
+  core.on_failure_notification(PhyId{2});
+  port.phy_sends.clear();
+
+  core.on_failure_notification(PhyId{1});
+  ASSERT_EQ(core.migration_log().size(), 1U);
+  EXPECT_EQ(core.migration_log()[0].to, PhyId{3});
+  EXPECT_EQ(core.standby_phy(RuId{1}), PhyId{3});
+  EXPECT_EQ(core.stats().failovers_initiated, 1U);
+  // The suspect's carrier is stopped; the new target gets the init
+  // replay before the boundary.
+  bool stopped_suspect = false;
+  bool replayed_target = false;
+  for (const auto& [phy, msg] : port.phy_sends) {
+    stopped_suspect |=
+        phy == PhyId{2} && msg.type() == FapiMsgType::kStopRequest;
+    replayed_target |=
+        phy == PhyId{3} && msg.type() == FapiMsgType::kConfigRequest;
+  }
+  EXPECT_TRUE(stopped_suspect);
+  EXPECT_TRUE(replayed_target);
+  EXPECT_TRUE(notification_identity_holds(core.stats()));
 }
 
 TEST(OrionCostModel, ScalesWithMessageSize) {

@@ -48,7 +48,7 @@ int failover_count(const Testbed& tb) {
 
 // S3 regression: a duplicated failure notification must not trigger a
 // second failover with a later boundary, and after the swap no FAPI may
-// flow to the consumed PHY until adopt_standby.
+// flow to the consumed PHY until it is revived as a standby.
 TEST(FaultInjection, DuplicateFailureNotificationIsIdempotent) {
   Testbed tb{base_config()};
   FaultInjector inj{tb};

@@ -290,77 +290,18 @@ TEST(TestbedIntegration, StandbyModeDuplicateDoesRealDlWork) {
   EXPECT_GT(tb.orion().stats().standby_responses_dropped, 0U);
 }
 
-TEST(TestbedIntegration, TwoRusWithCrossAssignedPrimaries) {
-  auto cfg = base_config();
-  cfg.num_ues = 1;       // UE 1 on RU 1 (primary: PHY-A)
-  cfg.num_ues_ru2 = 1;   // UE 101 on RU 2 (primary: PHY-B)
-  cfg.ue_mean_snr_db = {20.0, 20.0};
-  Testbed tb{cfg};
-  UdpFlowConfig flow_cfg;
-  flow_cfg.rate_bps = 6e6;
-  UdpFlow flow1{tb.sim(), tb.ue_pipe(0), tb.server_pipe(0), flow_cfg};
-  UdpFlow flow2{tb.sim(), tb.ue_pipe(1), tb.server_pipe(1), flow_cfg};
-  tb.start();
-  tb.run_until(100_ms);
-  flow1.start();
-  flow2.start();
-  tb.run_until(800_ms);
-
-  // Both RUs carry traffic; each PHY is primary for one RU and hot
-  // standby for the other (the paper's co-location deployment).
-  EXPECT_GT(flow1.packets_received(), 200U);
-  EXPECT_GT(flow2.packets_received(), 200U);
-  EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu), Testbed::kPhyA);
-  EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu2), Testbed::kPhyB);
-  EXPECT_GT(tb.phy_a().stats().ul_tbs_decoded, 50);
-  EXPECT_GT(tb.phy_b().stats().ul_tbs_decoded, 50);
-  EXPECT_GT(tb.phy_a().stats().null_slots, 500);  // standby role for RU2
-  EXPECT_GT(tb.phy_b().stats().null_slots, 500);  // standby role for RU1
-}
-
-TEST(TestbedIntegration, KillingOnePhyOnlyMigratesItsRus) {
-  auto cfg = base_config();
-  cfg.num_ues = 1;
-  cfg.num_ues_ru2 = 1;
-  cfg.ue_mean_snr_db = {20.0, 20.0};
-  Testbed tb{cfg};
-  UdpFlowConfig flow_cfg;
-  flow_cfg.rate_bps = 6e6;
-  UdpFlow flow1{tb.sim(), tb.ue_pipe(0), tb.server_pipe(0), flow_cfg};
-  UdpFlow flow2{tb.sim(), tb.ue_pipe(1), tb.server_pipe(1), flow_cfg};
-  tb.start();
-  tb.run_until(100_ms);
-  flow1.start();
-  flow2.start();
-  tb.run_until(500_ms);
-  tb.kill_primary_phy();  // PHY-A: primary for RU1, standby for RU2
-  tb.run_until(2'000_ms);
-
-  // RU1 failed over to PHY-B; RU2 was never disturbed.
-  EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu), Testbed::kPhyB);
-  EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu2), Testbed::kPhyB);
-  EXPECT_TRUE(tb.ue(0).connected());
-  EXPECT_TRUE(tb.ue(1).connected());
-  EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
-  EXPECT_EQ(tb.ue(1).stats().reattach_events, 0);
-  EXPECT_EQ(tb.ru2().stats().dropped_ttis, 0);  // RU2: zero disruption
-  EXPECT_GT(flow2.packets_received(), 600U);
-}
-
 TEST(TestbedIntegration, IndependentPerRuPlannedMigration) {
   auto cfg = base_config();
-  cfg.num_ues = 1;
-  cfg.num_ues_ru2 = 1;
-  cfg.ue_mean_snr_db = {20.0, 20.0};
+  cfg.cells = {CellSpec{1, {20.0}}, CellSpec{1, {20.0}}};  // + 1 standby
   Testbed tb{cfg};
   tb.start();
   tb.run_until(300_ms);
-  tb.planned_migration_of(Testbed::kRu2);  // only RU2 moves (B -> A)
+  tb.planned_migration_of(tb.ru_id(1));  // only cell 1 moves (PHY 2 -> 3)
   tb.run_until(1'000_ms);
-  EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu), Testbed::kPhyA);
-  EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu2), Testbed::kPhyA);
-  EXPECT_EQ(tb.ru().stats().dropped_ttis, 0);
-  EXPECT_EQ(tb.ru2().stats().dropped_ttis, 0);
+  EXPECT_EQ(tb.mbox().active_phy(tb.ru_id(0)), tb.phy_id(0));
+  EXPECT_EQ(tb.mbox().active_phy(tb.ru_id(1)), tb.phy_id(2));
+  EXPECT_EQ(tb.ru_at(0).stats().dropped_ttis, 0);
+  EXPECT_EQ(tb.ru_at(1).stats().dropped_ttis, 0);
 }
 
 TEST(TestbedIntegration, LossyFabricSurvivesViaNullInjection) {

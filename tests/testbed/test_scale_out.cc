@@ -1,8 +1,9 @@
 // Multi-cell scale-out tests: N cells x M PHYs with Orion's shared
 // standby pool. Covers pool assignment and consumption, concurrent
 // double failures inside one detection window, pool exhaustion with the
-// explicit "unprotected" state and deferred failover on revive, and the
-// legacy-pair revive path replaying inits for every RU a PHY backs.
+// explicit "unprotected" state and deferred failover on revive, revive
+// replaying inits for every RU a PHY backs, and the standby-failure
+// rule: a notified standby is suspect until it speaks.
 #include "testbed/testbed.h"
 
 #include <gtest/gtest.h>
@@ -22,15 +23,6 @@ TestbedConfig pool_config(int cells, int pool_size) {
   return cfg;
 }
 
-// The extended notification identity: every kFailureNotify frame lands
-// in exactly one outcome counter.
-bool identity_holds(const OrionL2Stats& s) {
-  return s.failure_notifications ==
-         s.failovers_initiated + s.duplicate_notifications_ignored +
-             s.stale_notifications_ignored + s.unprotected_notifications +
-             s.standby_failures;
-}
-
 TEST(ScaleOut, PoolStandbyIsSharedAcrossCells) {
   Testbed tb{pool_config(4, 1)};
   tb.start();
@@ -44,7 +36,6 @@ TEST(ScaleOut, PoolStandbyIsSharedAcrossCells) {
     EXPECT_TRUE(tb.ue(c).connected()) << "cell " << c;
     EXPECT_EQ(tb.ru_at(c).stats().dropped_ttis, 0) << "cell " << c;
   }
-  EXPECT_TRUE(tb.orion().pool_mode());
   EXPECT_EQ(tb.orion().pool_available(), 1U);
   // The shared standby runs on null FAPI for every cell, decodes nothing.
   EXPECT_GT(tb.phy(4).stats().null_slots, 500);
@@ -76,7 +67,7 @@ TEST(ScaleOut, ConsumingAStandbyRepointsTheOtherCells) {
   EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(4));
   EXPECT_EQ(tb.orion().stats().standbys_reassigned, 3U);
   EXPECT_EQ(tb.orion().pool_available(), 1U);
-  EXPECT_TRUE(identity_holds(tb.orion().stats()));
+  EXPECT_TRUE(notification_identity_holds(tb.orion().stats()));
   for (int c = 0; c < 3; ++c) {
     EXPECT_TRUE(tb.ue(c).connected()) << "cell " << c;
     EXPECT_EQ(tb.ue(c).stats().reattach_events, 0) << "cell " << c;
@@ -104,7 +95,7 @@ TEST(ScaleOut, ConcurrentDoubleFailureInOneDetectionWindow) {
 
   const auto& s = tb.orion().stats();
   EXPECT_EQ(s.failovers_initiated, 2U);
-  EXPECT_TRUE(identity_holds(s))
+  EXPECT_TRUE(notification_identity_holds(s))
       << "notifications=" << s.failure_notifications
       << " failovers=" << s.failovers_initiated
       << " dup=" << s.duplicate_notifications_ignored
@@ -150,49 +141,128 @@ TEST(ScaleOut, ExhaustedPoolEntersUnprotectedStateThenDeferredFailover) {
   EXPECT_EQ(tb.orion().active_phy(tb.ru_id(1)), tb.phy_id(0));
   EXPECT_TRUE(tb.phy(0).alive());
   EXPECT_GT(tb.phy(0).stats().ul_tbs_decoded, 50);
-  EXPECT_TRUE(identity_holds(tb.orion().stats()));
+  EXPECT_TRUE(notification_identity_holds(tb.orion().stats()));
   for (int c = 0; c < 2; ++c) {
     EXPECT_TRUE(tb.ue(c).connected()) << "cell " << c;
     EXPECT_EQ(tb.ue(c).stats().reattach_events, 0) << "cell " << c;
   }
 }
 
-TEST(ScaleOut, LegacyReviveReplaysInitsForEveryRuThePhyBacks) {
-  // Legacy cross-assigned pair: PHY-A is RU1's primary and RU2's
-  // standby. After A dies and both RUs live on B, reviving A must
-  // replay the init sequence for *both* RUs — then a second failover
-  // (B dies) moves both onto the revived A without a reattach.
-  TestbedConfig cfg;
-  cfg.seed = 7;
-  cfg.num_ues = 1;
-  cfg.num_ues_ru2 = 1;
-  cfg.ue_mean_snr_db = {20.0, 20.0};
-  Testbed tb{cfg};
+TEST(ScaleOut, ReviveReplaysInitsForEveryRuThePhyBacks) {
+  // Cell 0's primary dies and consumes the only pool member, leaving
+  // cell 1 unprotected. Reviving the dead PHY must make it the standby
+  // of *both* cells — including the one it failed from, whose failover
+  // episode ends there and then (no false-positive rehabilitation) — so
+  // a second failure moves cell 1 onto it without a reattach.
+  Testbed tb{pool_config(2, 1)};
   tb.start();
   tb.run_until(400_ms);
 
-  tb.kill_phy(Testbed::kPhyA);
+  tb.kill_phy(tb.phy_id(0));
   tb.run_until(1'000_ms);
-  EXPECT_EQ(tb.orion().active_phy(Testbed::kRu), Testbed::kPhyB);
-  EXPECT_EQ(tb.orion().active_phy(Testbed::kRu2), Testbed::kPhyB);
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(2));
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(1)), PhyId{});
 
-  tb.revive_phy_as_standby(Testbed::kPhyA);
+  tb.revive_phy_as_standby(tb.phy_id(0));
   tb.run_until(1'400_ms);
-  EXPECT_TRUE(tb.phy_a().alive());
-  EXPECT_EQ(tb.orion().standby_phy(Testbed::kRu), Testbed::kPhyA);
-  EXPECT_EQ(tb.orion().standby_phy(Testbed::kRu2), Testbed::kPhyA);
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(0));
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(1)), tb.phy_id(0));
+  EXPECT_EQ(tb.orion().stats().rehabilitations, 0U);
 
-  tb.kill_phy(Testbed::kPhyB);
+  tb.kill_phy(tb.phy_id(1));
   tb.run_until(3'000_ms);
-  EXPECT_EQ(tb.orion().active_phy(Testbed::kRu), Testbed::kPhyA);
-  EXPECT_EQ(tb.orion().active_phy(Testbed::kRu2), Testbed::kPhyA);
-  EXPECT_TRUE(tb.phy_a().alive());
-  EXPECT_GT(tb.phy_a().stats().ul_tbs_decoded, 50);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(tb.ue(i).connected()) << "ue " << i;
-    EXPECT_EQ(tb.ue(i).stats().reattach_events, 0) << "ue " << i;
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(1)), tb.phy_id(0));
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_GT(tb.phy(0).stats().ul_tbs_decoded, 50);
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_TRUE(tb.ue(c).connected()) << "cell " << c;
+    EXPECT_EQ(tb.ue(c).stats().reattach_events, 0) << "cell " << c;
   }
-  EXPECT_TRUE(identity_holds(tb.orion().stats()));
+  EXPECT_TRUE(notification_identity_holds(tb.orion().stats()));
+}
+
+TEST(ScaleOut, LossyFabricFalsePositivesKeepTheStandby) {
+  // A lost heartbeat trips the detector on the standby (its sparse
+  // null-slot downlink is the easiest to starve). The standby is only
+  // suspect until its next fresh indication, so the cell ends protected.
+  auto cfg = pool_config(1, 1);
+  cfg.link.loss_probability = 0.005;
+  Testbed tb{cfg};
+  tb.start();
+  tb.run_until(3'000_ms);
+
+  const auto& s = tb.orion().stats();
+  EXPECT_GE(s.standby_failures, 1U);  // the false positive happened
+  EXPECT_TRUE(tb.phy(1).alive());
+  EXPECT_EQ(tb.orion().pool_available(), 1U);
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(1));
+  EXPECT_TRUE(tb.ue(0).connected());
+  EXPECT_TRUE(notification_identity_holds(s));
+}
+
+TEST(ScaleOut, DeadStandbyIsNeverAFailoverTarget) {
+  Testbed tb{pool_config(1, 1)};
+  tb.start();
+  tb.run_until(400_ms);
+
+  // The standby dies for real: it stays suspect, backing nothing usable.
+  tb.kill_phy(tb.phy_id(1));
+  tb.run_until(500_ms);
+  EXPECT_EQ(tb.orion().stats().standby_failures, 1U);
+  EXPECT_EQ(tb.orion().pool_available(), 0U);
+
+  // Then the primary dies: the cell goes unprotected and nothing swaps
+  // onto the dead standby.
+  tb.kill_phy(tb.phy_id(0));
+  tb.run_until(505_ms);
+  EXPECT_EQ(tb.orion().stats().unprotected_notifications, 1U);
+  EXPECT_EQ(tb.orion().stats().failovers_initiated, 0U);
+  EXPECT_TRUE(tb.orion().migration_log().empty());
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(0));
+  EXPECT_EQ(tb.mbox().active_phy(tb.ru_id(0)), tb.phy_id(0));
+
+  // Reviving the standby runs the deferred failover onto it.
+  tb.revive_phy_as_standby(tb.phy_id(1));
+  tb.run_until(1'500_ms);
+  EXPECT_EQ(tb.orion().stats().deferred_failovers_executed, 1U);
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(1));
+  EXPECT_EQ(tb.mbox().active_phy(tb.ru_id(0)), tb.phy_id(1));
+  EXPECT_GT(tb.phy(1).stats().ul_tbs_decoded, 50);
+  EXPECT_TRUE(tb.ue(0).connected());
+  EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
+  EXPECT_TRUE(notification_identity_holds(tb.orion().stats()));
+}
+
+TEST(ScaleOut, TargetDyingInsideTheBoundaryWindowIsRedirected) {
+  auto cfg = pool_config(1, 2);
+  // A wider boundary window so the target's own detection (<= 450 us)
+  // lands before the swap.
+  cfg.failover_margin_slots = 4;
+  Testbed tb{cfg};
+  // The moment the primary's failover is initiated, its target dies.
+  tb.orion().set_on_failover([&tb](const MigrationEvent& event) {
+    if (event.to == tb.phy_id(1)) {
+      tb.kill_phy(event.to);
+    }
+  });
+  tb.start();
+  tb.run_until(400_ms);
+  ASSERT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(1));
+
+  tb.kill_phy(tb.phy_id(0));
+  tb.run_until(1'500_ms);
+  const auto& log = tb.orion().migration_log();
+  ASSERT_EQ(log.size(), 2U);
+  EXPECT_EQ(log[0].to, tb.phy_id(1));
+  EXPECT_EQ(log[1].to, tb.phy_id(2));  // redirected to the next member
+  EXPECT_EQ(tb.orion().stats().standby_failures, 1U);
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(2));
+  EXPECT_EQ(tb.mbox().active_phy(tb.ru_id(0)), tb.phy_id(2));
+  EXPECT_GT(tb.phy(2).stats().ul_tbs_decoded, 50);
+  EXPECT_TRUE(tb.ue(0).connected());
+  EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
+  EXPECT_TRUE(notification_identity_holds(tb.orion().stats()));
 }
 
 TEST(ScaleOut, FailedCellRecoversOthersUndisturbed) {
