@@ -17,13 +17,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "bench_util.h"
-#include "testbed/sharded_testbed.h"
 #include "testbed/testbed.h"
 #include "transport/apps.h"
 
@@ -105,82 +103,6 @@ SweepResult run_point(const SweepPoint& pt, Nanos kill_at, Nanos horizon) {
   return r;
 }
 
-// ---- Sharded-runtime sweep ----
-//
-// The same blast-radius question asked of the island runtime: an 8-cell
-// fleet under the window-barrier engine, one primary killed mid-run, at
-// shard counts {1, 2, 4}. The failover gap must be *identical* at every
-// shard count (the engine promises shards are a pure parallelism knob),
-// within the same detection + boundary budget, with zero collateral
-// drops on untouched islands.
-
-struct ShardSweepResult {
-  double wall_s = 0;
-  std::int64_t failed_cell_dropped = 0;
-  std::int64_t max_other_dropped = 0;
-  std::uint64_t episodes = 0;
-  std::uint64_t fingerprint = 0;
-  bool recovered = false;
-  bool others_clean = false;
-};
-
-ShardSweepResult run_shard_point(int cells, int shards, Nanos kill_at,
-                                 Nanos horizon) {
-  ShardedTestbedConfig cfg;
-  cfg.seed = 31;
-  cfg.cells.assign(std::size_t(cells), CellSpec{1, {20.0}});
-  cfg.shards = shards;
-  ShardedTestbed tb{cfg};
-
-  std::vector<std::unique_ptr<UdpFlow>> flows;
-  UdpFlowConfig flow_cfg;
-  flow_cfg.rate_bps = 4e6;
-  for (int c = 0; c < cells; ++c) {
-    Testbed& island = tb.island(c);
-    flows.push_back(std::make_unique<UdpFlow>(
-        island.sim(), island.ue_pipe(0), island.server_pipe(0), flow_cfg));
-  }
-
-  tb.start();
-  tb.run_until(100_ms);
-  for (auto& f : flows) {
-    f->start();
-  }
-  tb.kill_primary_at(0, kill_at);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  tb.run_until(horizon);
-  ShardSweepResult r;
-  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-
-  Testbed& failed = tb.island(0);
-  r.failed_cell_dropped = failed.ru_at(0).stats().dropped_ttis;
-  for (int c = 1; c < cells; ++c) {
-    const auto dropped = tb.island(c).ru_at(0).stats().dropped_ttis;
-    if (dropped > r.max_other_dropped) {
-      r.max_other_dropped = dropped;
-    }
-  }
-  r.episodes = tb.coordinator().stats().episodes;
-  r.fingerprint = tb.fingerprint();
-
-  const PhyId active0 = failed.orion().active_phy(failed.ru_id(0));
-  r.recovered = failed.phy_by_id(active0) != nullptr &&
-                failed.phy_by_id(active0)->alive() &&
-                failed.ue(0).connected() &&
-                failed.ue(0).stats().reattach_events == 0;
-  r.others_clean = true;
-  for (int c = 1; c < cells; ++c) {
-    Testbed& island = tb.island(c);
-    r.others_clean = r.others_clean && island.ue(0).connected() &&
-                     island.ue(0).stats().reattach_events == 0 &&
-                     island.ru_at(0).stats().dropped_ttis == 0;
-  }
-  return r;
-}
-
 }  // namespace
 }  // namespace slingshot
 
@@ -254,49 +176,6 @@ int main(int argc, char** argv) {
         .boolean("point_ok", point_ok);
     append_bench_json(json_path, row);
   }
-  // Sharded-runtime sweep: same question under the window-barrier
-  // engine. The gap must be constant across shard counts — a varying
-  // gap means the barrier/mailbox leaked scheduling noise into the
-  // simulation, which is exactly what the engine promises cannot happen.
-  std::printf("\nsharded runtime (8 cells, one primary killed):\n");
-  print_row({"shards", "failover", "other", "episodes", "wall_s", "verdict"},
-            10);
-  const int shard_cells = 8;
-  const Nanos shard_kill = short_mode ? 250_ms : 1'000_ms;
-  const Nanos shard_horizon = short_mode ? 500_ms : 2'000_ms;
-  std::int64_t serial_gap = -1;
-  std::uint64_t serial_fingerprint = 0;
-  for (const int shards : {1, 2, 4}) {
-    const auto r =
-        run_shard_point(shard_cells, shards, shard_kill, shard_horizon);
-    if (shards == 1) {
-      serial_gap = r.failed_cell_dropped;
-      serial_fingerprint = r.fingerprint;
-    }
-    const bool point_ok = r.recovered && r.others_clean &&
-                          r.failed_cell_dropped <= 4 &&
-                          r.failed_cell_dropped == serial_gap &&
-                          r.max_other_dropped == 0 && r.episodes >= 1 &&
-                          r.fingerprint == serial_fingerprint;
-    all_ok = all_ok && point_ok;
-    print_row({std::to_string(shards), std::to_string(r.failed_cell_dropped),
-               std::to_string(r.max_other_dropped),
-               std::to_string((long long)r.episodes), fmt(r.wall_s),
-               point_ok ? "ok" : "FAIL"},
-              10);
-
-    JsonRow row{"abl_scale_sweep"};
-    row.integer("cells", shard_cells)
-        .integer("shards", shards)
-        .boolean("short_mode", short_mode)
-        .num("wall_s", r.wall_s)
-        .integer("failover_dropped_ttis", r.failed_cell_dropped)
-        .integer("max_other_dropped_ttis", r.max_other_dropped)
-        .integer("episodes", (long long)(r.episodes))
-        .boolean("point_ok", point_ok);
-    append_bench_json(json_path, row);
-  }
-
   std::printf("\nresult: %s\n",
               all_ok ? "every point recovered within budget with zero "
                        "collateral drops"

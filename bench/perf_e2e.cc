@@ -1,21 +1,23 @@
 // End-to-end wall-clock performance harness — the regression tripwire
 // for the simulator/PHY/packet-path hot-path work.
 //
-// Runs two representative scenarios:
-//  * fig10_failover      — a Fig 10-style run: bidirectional UDP (DL
-//                          120 Mbps + UL 15.8 Mbps) through a primary-PHY
-//                          failover, 10 s of virtual time.
-//  * tab02_migration     — a Table 2-style slice: uplink UDP near the
-//                          decoding threshold while the PHY migrates
-//                          back and forth at 20/s.
+// Its scenarios are slingbench's workloads (benchmark/workloads.h): each
+// one is built, started and pre-rolled by slingbench::Workload, then
+// timed as one run_until(horizon()). By default it runs two:
+//  * fig10_failover   — bidirectional UDP (DL 120 Mbps + UL 15.8 Mbps)
+//                       through a primary-PHY failover, 9.9 s measured.
+//  * tab02_migration  — uplink UDP near the decoding threshold while the
+//                       PHY migrates back and forth at 20/s, 20 s
+//                       measured.
 //
 // For each scenario it reports wall-clock seconds, simulated-time
 // speedup, executed events/s and LDPC decodes/s, and appends a
 // machine-readable row to BENCH_perf.json (see bench_util.h) so later
-// PRs have a trajectory to not regress.
+// changes have a trajectory to not regress. Every row names the build
+// it came from (compiler, build type, flags, hardware threads).
 //
-// `perf_e2e --short` runs abbreviated horizons — the ctest smoke mode
-// that keeps this harness itself from rotting.
+// `perf_e2e --short` runs the workloads' smoke horizons — the ctest
+// smoke mode that keeps this harness itself from rotting.
 //
 // `perf_e2e --trace` additionally re-runs fig10 with the observability
 // layer attached: it reports the Fig 10 detection/restoration breakdown
@@ -24,16 +26,18 @@
 // BENCH_obs.json (`--obs-json` overrides the path), and self-validates
 // the emitted schema — span balance, non-negative latencies, required
 // keys — exiting nonzero on violation so CI catches telemetry rot.
-// Every JSON row is annotated with the active SIMD level.
 //
-// `perf_e2e --shards N` switches to the sharded multi-cell scenario
-// instead: a 16-cell fleet (8 in --short) of independent cell islands
-// under the window-barrier engine (testbed/sharded_testbed.h), with a
-// primary-PHY failover and coordinator spare replenishment mid-run. It
-// runs the fleet twice — serial (shards=1) baseline, then on N worker
-// threads — reports the wall-clock ratio, and self-verdicts: the
-// per-island trace hashes of the two runs must be bit-identical, so a
+// `perf_e2e --shards N` runs the fleet_sharded workload instead: cell
+// islands under the window-barrier engine (testbed/sharded_testbed.h),
+// one primary killed mid-run. It runs the fleet twice — serial
+// (shards=1) baseline, then on N worker threads — reports the
+// wall-clock ratio, and self-verdicts: the per-island trace hashes and
+// the fleet fingerprint of the two runs must be bit-identical, so a
 // determinism regression in the barrier/mailbox exits nonzero in CI.
+//
+// Every run also checks its episode shape (Workload::check_shape: the
+// failover or migration train happened, lost TTIs within budget, flows
+// restored) and the binary exits nonzero on any failure.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,96 +45,89 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "obs/obs.h"
 #include "phy/simd.h"
-#include "testbed/sharded_testbed.h"
-#include "testbed/testbed.h"
-#include "transport/apps.h"
+#include "workloads.h"
 
 namespace slingshot {
 namespace {
 
-struct PerfResult {
+using slingbench::count_of;
+using slingbench::Counters;
+using slingbench::RunConfig;
+using slingbench::Workload;
+
+struct Run {
   double wall_s = 0;
   double sim_s = 0;
-  std::uint64_t events = 0;
-  std::int64_t decodes = 0;  // PHY UL decodes + UE DL decodes
-  std::uint64_t ul_rx_pkts = 0;
-  std::uint64_t dl_rx_pkts = 0;
+  Counters measured;  // counts of the timed horizon
+  bool shape_ok = false;
+
+  [[nodiscard]] double events() const {
+    return count_of(measured, "sim.events");
+  }
 };
 
-double wall_seconds_since(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+std::string scenario_of(const Workload& w, bool short_mode) {
+  return short_mode ? w.name() + "_short" : w.name();
 }
 
-std::int64_t total_decodes(Testbed& tb, int num_ues) {
-  std::int64_t decodes =
-      tb.phy_a().stats().ul_tbs_decoded + tb.phy_b().stats().ul_tbs_decoded;
-  for (int i = 0; i < num_ues; ++i) {
+// Starts and pre-rolls `w`, then times one run_until(horizon()) and
+// checks the episode shape of the measured horizon.
+Run run(Workload& w, bool short_mode) {
+  w.start();
+  w.preroll();
+  const Counters before = w.counters();
+  const auto t0 = std::chrono::steady_clock::now();
+  w.run_until(w.horizon());
+  Run r;
+  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+                 .count();
+  r.sim_s = double(w.horizon() - w.measure_from()) / 1e9;
+  r.measured = w.counters();
+  for (std::size_t i = 0; i < r.measured.size(); ++i) {
+    r.measured[i].second -= before[i].second;
+  }
+  const auto failures = w.check_shape(r.measured);
+  for (const auto& f : failures) {
+    std::printf("SHAPE FAILURE (%s): %s\n",
+                scenario_of(w, short_mode).c_str(), f.c_str());
+  }
+  r.shape_ok = failures.empty();
+  return r;
+}
+
+int num_ues(const Testbed& tb) {
+  int ues = 0;
+  for (const auto& cell : tb.config().cells) {
+    ues += cell.num_ues;
+  }
+  return ues;
+}
+
+// Cumulative PHY UL decodes plus UE DL decodes.
+std::int64_t total_decodes(Testbed& tb) {
+  std::int64_t decodes = 0;
+  for (int p = 0; p < tb.num_phys(); ++p) {
+    decodes += tb.phy(p).stats().ul_tbs_decoded;
+  }
+  for (int i = 0; i < num_ues(tb); ++i) {
     decodes += tb.ue(i).stats().dl_tbs_ok + tb.ue(i).stats().dl_tbs_failed;
   }
   return decodes;
 }
 
-// Fig 10-style: heavy bidirectional UDP with a fail-stop primary crash
-// partway through.
-PerfResult run_fig10(Nanos horizon, Nanos event_time, int bulk_ues,
-                     obs::Observability* o = nullptr) {
-  TestbedConfig cfg;
-  cfg.seed = 10;
-  cfg.num_ues = 1;
-  cfg.ue_mean_snr_db = {21.0};
-  cfg.bulk_ues = bulk_ues;
-  Testbed tb{cfg};
-  if (o != nullptr) {
-    tb.attach_observability(*o);
-  }
-
-  UdpFlowConfig dl_cfg;
-  dl_cfg.rate_bps = 120e6;
-  UdpFlow dl{tb.sim(), tb.server_pipe(0), tb.ue_pipe(0), dl_cfg};
-  UdpFlowConfig ul_cfg;
-  ul_cfg.rate_bps = 15.8e6;
-  UdpFlow ul{tb.sim(), tb.ue_pipe(0), tb.server_pipe(0), ul_cfg};
-
-  tb.start();
-  tb.run_until(100_ms);
-  dl.start();
-  ul.start();
-  tb.sim().at(event_time, [&tb] { tb.kill_primary_phy(); });
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto events_before = tb.sim().executed_events();
-  tb.run_until(horizon);
-  PerfResult r;
-  r.wall_s = wall_seconds_since(t0);
-  r.sim_s = double(horizon - 100_ms) / 1e9;
-  r.events = tb.sim().executed_events() - events_before;
-  r.decodes = total_decodes(tb, cfg.num_ues);
-  r.dl_rx_pkts = dl.packets_received();
-  r.ul_rx_pkts = ul.packets_received();
-  if (o != nullptr) {
-    o->finalize();
-  }
-  return r;
-}
-
-// The same config the traced fig10 testbed will hand out — the
-// Observability object must exist before the testbed it observes.
-obs::ObservabilityConfig fig10_obs_config(int bulk_ues) {
-  TestbedConfig cfg;
-  cfg.seed = 10;
-  cfg.num_ues = 1;
-  cfg.ue_mean_snr_db = {21.0};
-  cfg.bulk_ues = bulk_ues;
-  Testbed tb{cfg};
-  return tb.obs_config();
+// The build a row came from; the same definitions slingbench records.
+void add_build(bench::JsonRow& row) {
+  row.str("compiler", SLINGBENCH_COMPILER)
+      .str("build_type", SLINGBENCH_BUILD_TYPE)
+      .str("cxx_flags", SLINGBENCH_CXX_FLAGS)
+      .integer("hardware_threads", std::thread::hardware_concurrency());
 }
 
 double us(Nanos delta) { return double(delta) / 1e3; }
@@ -140,7 +137,7 @@ double us(Nanos delta) { return double(delta) / 1e3; }
 // Returns false if the emitted telemetry violates its own schema.
 bool report_obs(obs::Observability& o, double traced_wall_s,
                 double untraced_wall_s, const std::string& obs_json_path,
-                const char* scenario) {
+                const std::string& scenario) {
   using namespace slingshot::bench;
   auto& t = o.tracer();
   const double overhead_pct =
@@ -148,7 +145,7 @@ bool report_obs(obs::Observability& o, double traced_wall_s,
           ? 100.0 * (traced_wall_s - untraced_wall_s) / untraced_wall_s
           : 0.0;
 
-  std::printf("\nobservability (%s):\n", scenario);
+  std::printf("\nobservability (%s):\n", scenario.c_str());
   std::printf("  spans opened/closed   %llu / %llu\n",
               (unsigned long long)t.spans_opened(),
               (unsigned long long)t.spans_closed());
@@ -234,6 +231,7 @@ bool report_obs(obs::Observability& o, double traced_wall_s,
       ok = false;
     }
   }
+  add_build(row);
 
   // Required-key check on the rendered row: a refactor that silently
   // drops a field should fail the smoke test, not ship.
@@ -252,197 +250,141 @@ bool report_obs(obs::Observability& o, double traced_wall_s,
   return ok;
 }
 
-// Table 2-style: uplink UDP near the decoding threshold while planned
-// migrations bounce the PHY at 20/s.
-PerfResult run_tab02(Nanos measure, int bulk_ues) {
-  TestbedConfig cfg;
-  cfg.seed = 21;
-  cfg.num_ues = 1;
-  cfg.ue_mean_snr_db = {13.5};
-  cfg.phy.ldpc_max_iters = 4;
-  cfg.bulk_ues = bulk_ues;
-  Testbed tb{cfg};
-
-  UdpFlowConfig flow_cfg;
-  flow_cfg.rate_bps = 8e6;
-  UdpFlow flow{tb.sim(), tb.ue_pipe(0), tb.server_pipe(0), flow_cfg};
-
-  tb.start();
-  tb.run_until(500_ms);
-  flow.start();
-  const auto period = Nanos(1e9 / 20.0);
-  auto migrate_task = tb.sim().every(tb.sim().now() + period, period,
-                                     [&tb] { tb.planned_migration(); });
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto events_before = tb.sim().executed_events();
-  tb.run_until(500_ms + measure);
-  migrate_task.cancel();
-  PerfResult r;
-  r.wall_s = wall_seconds_since(t0);
-  r.sim_s = double(measure) / 1e9;
-  r.events = tb.sim().executed_events() - events_before;
-  r.decodes = total_decodes(tb, cfg.num_ues);
-  r.ul_rx_pkts = flow.packets_received();
-  return r;
-}
-
-// ---- Sharded fleet scenario (--shards N) ----
-
-struct ShardResult {
-  double wall_s = 0;
-  double sim_s = 0;
-  std::uint64_t events = 0;          // sum of island executed counts
-  std::uint64_t delivered = 0;       // mailbox events delivered
-  std::uint64_t episodes = 0;        // coordinator failure-episode ledger
-  std::uint64_t fingerprint = 0;     // fold of per-island (hash, executed)
-  std::vector<std::uint64_t> hashes; // per-island trace hashes
-};
-
-ShardResult run_sharded(int cells, int shards, Nanos horizon, Nanos kill_at) {
-  ShardedTestbedConfig cfg;
-  cfg.seed = 16;
-  cfg.cells.assign(std::size_t(cells), CellSpec{1, {20.0}});
-  cfg.shards = shards;
-  ShardedTestbed tb{cfg};
-
-  std::vector<std::unique_ptr<UdpFlow>> flows;
-  UdpFlowConfig flow_cfg;
-  flow_cfg.rate_bps = 4e6;
-  for (int c = 0; c < cells; ++c) {
-    Testbed& island = tb.island(c);
-    flows.push_back(std::make_unique<UdpFlow>(
-        island.sim(), island.ue_pipe(0), island.server_pipe(0), flow_cfg));
-  }
-
-  tb.start();
-  tb.run_until(100_ms);
-  for (auto& flow : flows) {
-    flow->start();
-  }
-  tb.kill_primary_at(0, kill_at);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  tb.run_until(horizon);
-  ShardResult r;
-  r.wall_s = wall_seconds_since(t0);
-  r.sim_s = double(horizon - 100_ms) / 1e9;
-  for (int c = 0; c < cells; ++c) {
-    r.events += tb.island_executed(c);
-    r.hashes.push_back(tb.island_hash(c));
-  }
-  r.delivered = tb.engine().events_delivered();
-  r.episodes = tb.coordinator().stats().episodes;
-  r.fingerprint = tb.fingerprint();
-  return r;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", (unsigned long long)v);
   return buf;
 }
 
-void report_sharded(const char* scenario, const ShardResult& r, int cells,
-                    int shards, double serial_wall_s, bool deterministic,
+// One fleet_sharded run and the determinism evidence it leaves behind.
+struct FleetRun {
+  Run run;
+  int shards = 0;
+  int cells = 0;
+  std::uint64_t fingerprint = 0;
+  std::vector<std::uint64_t> hashes;  // per-island trace hashes
+};
+
+FleetRun run_fleet(bool short_mode, int shards) {
+  Workload w{"fleet_sharded",
+             RunConfig{.smoke = short_mode, .shards = shards}};
+  FleetRun f;
+  f.run = run(w, short_mode);
+  f.shards = w.shards();
+  f.cells = w.cells();
+  f.fingerprint = w.fingerprint();
+  for (Testbed* tb : w.testbeds()) {
+    f.hashes.push_back(tb->sim().trace_hash());
+  }
+  return f;
+}
+
+void report_sharded(const std::string& scenario, const FleetRun& f,
+                    double serial_wall_s, bool deterministic,
                     const std::string& json_path) {
   using namespace slingshot::bench;
-  std::printf("\n%s (shards=%d):\n", scenario, shards);
+  const Run& r = f.run;
+  // One Orion failover per failure episode.
+  const double episodes = count_of(r.measured, "core.failovers");
+  std::printf("\n%s (shards=%d):\n", scenario.c_str(), f.shards);
   std::printf("  wall-clock       %8.2f s  (%.2fx vs serial)\n", r.wall_s,
               serial_wall_s / r.wall_s);
   std::printf("  virtual time     %8.2f s  (%.1fx real time)\n", r.sim_s,
               r.sim_s / r.wall_s);
-  std::printf("  events           %8llu  (%.0f events/s)\n",
-              (unsigned long long)r.events, double(r.events) / r.wall_s);
-  std::printf("  mailbox events   %8llu   episodes %llu\n",
-              (unsigned long long)r.delivered,
-              (unsigned long long)r.episodes);
+  std::printf("  events           %8.0f  (%.0f events/s)\n", r.events(),
+              r.events() / r.wall_s);
+  std::printf("  cells            %8d   episodes %.0f\n", f.cells, episodes);
   std::printf("  fleet fingerprint %s   determinism %s\n",
-              hex64(r.fingerprint).c_str(), deterministic ? "ok" : "BROKEN");
+              hex64(f.fingerprint).c_str(), deterministic ? "ok" : "BROKEN");
 
   JsonRow row{"perf_e2e_shards"};
   row.str("scenario", scenario)
-      .integer("shards", shards)
-      .integer("cells", cells)
+      .integer("shards", f.shards)
+      .integer("cells", f.cells)
       .str("simd", simd::level_name(simd::active_level()))
       .num("wall_s", r.wall_s)
       .num("sim_s", r.sim_s)
       .num("speedup_vs_serial", serial_wall_s / r.wall_s)
-      .integer("events", (long long)(r.events))
-      .num("events_per_s", double(r.events) / r.wall_s)
-      .integer("mailbox_delivered", (long long)(r.delivered))
-      .integer("episodes", (long long)(r.episodes))
-      .str("fingerprint", hex64(r.fingerprint))
+      .integer("events", (long long)r.events())
+      .num("events_per_s", r.events() / r.wall_s)
+      .integer("episodes", (long long)episodes)
+      .str("fingerprint", hex64(f.fingerprint))
       .boolean("determinism_ok", deterministic);
+  add_build(row);
   append_bench_json(json_path, row);
 }
 
 // Serial baseline + N-worker run of the same fleet; exits through the
-// returned verdict: per-island hashes must match bit-for-bit.
+// returned verdict: per-island hashes must match bit-for-bit and both
+// runs must keep their episode shape.
 bool run_shard_mode(bool short_mode, int shards,
                     const std::string& json_path) {
-  const int cells = short_mode ? 8 : 16;
-  const Nanos horizon = short_mode ? 400_ms : 2'000_ms;
-  const Nanos kill_at = short_mode ? 250_ms : 1'000_ms;
-  const char* scenario =
-      short_mode ? "shard_fleet_failover_short" : "shard_fleet_failover";
+  const std::string scenario =
+      short_mode ? "fleet_sharded_short" : "fleet_sharded";
 
-  const auto serial = run_sharded(cells, 1, horizon, kill_at);
-  report_sharded(scenario, serial, cells, 1, serial.wall_s,
+  const FleetRun serial = run_fleet(short_mode, 1);
+  report_sharded(scenario, serial, serial.run.wall_s,
                  /*deterministic=*/true, json_path);
 
-  const auto sharded = run_sharded(cells, shards, horizon, kill_at);
+  const FleetRun sharded = run_fleet(short_mode, shards);
   const bool deterministic = sharded.hashes == serial.hashes &&
                              sharded.fingerprint == serial.fingerprint &&
-                             sharded.events == serial.events;
-  report_sharded(scenario, sharded, cells, shards, serial.wall_s,
-                 deterministic, json_path);
+                             sharded.run.events() == serial.run.events();
+  report_sharded(scenario, sharded, serial.run.wall_s, deterministic,
+                 json_path);
   if (!deterministic) {
     std::printf("\nDETERMINISM VIOLATION: per-island traces diverged "
                 "between shards=1 and shards=%d\n", shards);
-    for (int c = 0; c < cells; ++c) {
-      if (serial.hashes[std::size_t(c)] != sharded.hashes[std::size_t(c)]) {
-        std::printf("  island %d: %s != %s\n", c,
-                    hex64(serial.hashes[std::size_t(c)]).c_str(),
-                    hex64(sharded.hashes[std::size_t(c)]).c_str());
+    for (std::size_t c = 0; c < serial.hashes.size(); ++c) {
+      if (serial.hashes[c] != sharded.hashes[c]) {
+        std::printf("  island %zu: %s != %s\n", c,
+                    hex64(serial.hashes[c]).c_str(),
+                    hex64(sharded.hashes[c]).c_str());
       }
     }
   }
-  return deterministic;
+  return deterministic && serial.run.shape_ok && sharded.run.shape_ok;
 }
 
-void report(const char* scenario, const PerfResult& r, int bulk_ues,
+void report(Workload& w, bool short_mode, const Run& r,
             const std::string& json_path) {
   using namespace slingshot::bench;
-  std::printf("\n%s:\n", scenario);
+  const std::string scenario = scenario_of(w, short_mode);
+  Testbed& tb = *w.testbeds().front();
+  const std::int64_t decodes = total_decodes(tb);
+  // UDP datagrams handed to the app side: SDUs the L2's RLC releases
+  // toward the server, and SDUs the UEs' RLC releases into their modem
+  // stage (so the DL count includes datagrams still in that stage).
+  const std::int64_t ul_rx_pkts = tb.l2().stats().ul_sdus_delivered;
+  std::int64_t dl_rx_pkts = 0;
+  for (int i = 0; i < num_ues(tb); ++i) {
+    dl_rx_pkts += tb.ue(i).stats().dl_sdus_delivered;
+  }
+  std::printf("\n%s:\n", scenario.c_str());
   std::printf("  wall-clock       %8.2f s\n", r.wall_s);
   std::printf("  virtual time     %8.2f s  (%.1fx real time)\n", r.sim_s,
               r.sim_s / r.wall_s);
-  std::printf("  events           %8llu  (%.0f events/s)\n",
-              (unsigned long long)r.events, double(r.events) / r.wall_s);
+  std::printf("  events           %8.0f  (%.0f events/s)\n", r.events(),
+              r.events() / r.wall_s);
   std::printf("  LDPC decodes     %8lld  (%.0f decodes/s)\n",
-              (long long)r.decodes, double(r.decodes) / r.wall_s);
-  std::printf("  UL/DL pkts rx    %llu / %llu\n",
-              (unsigned long long)r.ul_rx_pkts,
-              (unsigned long long)r.dl_rx_pkts);
+              (long long)decodes, double(decodes) / r.wall_s);
+  std::printf("  UL/DL pkts rx    %lld / %lld\n", (long long)ul_rx_pkts,
+              (long long)dl_rx_pkts);
+  std::printf("  fingerprint      %s\n", hex64(w.fingerprint()).c_str());
 
   JsonRow row{"perf_e2e"};
   row.str("scenario", scenario)
       .str("simd", simd::level_name(simd::active_level()))
       .num("wall_s", r.wall_s)
       .num("sim_s", r.sim_s)
-      .integer("events", (long long)(r.events))
-      .num("events_per_s", double(r.events) / r.wall_s)
-      .integer("decodes", (long long)(r.decodes))
-      .num("decodes_per_s", double(r.decodes) / r.wall_s)
-      .integer("ul_rx_pkts", (long long)(r.ul_rx_pkts))
-      .integer("dl_rx_pkts", (long long)(r.dl_rx_pkts));
-  if (bulk_ues > 0) {
-    // Massive-UE annotation (--ues N): a batch of N SoA UEs rode the
-    // cell alongside the tracer UE. Omitted at 0 so pre-existing rows
-    // and bulk-free rows stay byte-compatible.
-    row.integer("ues", bulk_ues);
-  }
+      .integer("events", (long long)r.events())
+      .num("events_per_s", r.events() / r.wall_s)
+      .integer("decodes", (long long)decodes)
+      .num("decodes_per_s", double(decodes) / r.wall_s)
+      .integer("ul_rx_pkts", (long long)ul_rx_pkts)
+      .integer("dl_rx_pkts", (long long)dl_rx_pkts)
+      .str("fingerprint", hex64(w.fingerprint()));
+  add_build(row);
   append_bench_json(json_path, row);
 }
 
@@ -454,8 +396,7 @@ int main(int argc, char** argv) {
   using namespace slingshot::bench;
   bool short_mode = false;
   bool trace_mode = false;
-  int shards = 0;     // 0 = classic single-testbed scenarios
-  int bulk_ues = 0;   // --ues N: batched UEs riding each scenario cell
+  int shards = 0;  // 0 = the single-testbed scenarios
   double min_events_per_s = 0.0;  // --min-events-per-s: CI sanity floor
   std::string json_path = "BENCH_perf.json";
   std::string obs_json_path = "BENCH_obs.json";
@@ -468,11 +409,6 @@ int main(int argc, char** argv) {
       shards = std::atoi(argv[++i]);
       if (shards < 1) {
         shards = 1;
-      }
-    } else if (std::strcmp(argv[i], "--ues") == 0 && i + 1 < argc) {
-      bulk_ues = std::atoi(argv[++i]);
-      if (bulk_ues < 0) {
-        bulk_ues = 0;
       }
     } else if (std::strcmp(argv[i], "--min-events-per-s") == 0 &&
                i + 1 < argc) {
@@ -498,39 +434,44 @@ int main(int argc, char** argv) {
                                ? "wall-clock perf harness (short smoke mode)"
                                : "wall-clock perf harness");
   print_note(("rows appended to " + json_path).c_str());
-  std::printf("simd: %s   bulk ues: %d\n",
-              simd::level_name(simd::active_level()), bulk_ues);
+  std::printf("simd: %s\n", simd::level_name(simd::active_level()));
 
-  const Nanos fig10_horizon = short_mode ? 1'500_ms : 10'000_ms;
-  const Nanos fig10_event = short_mode ? 500_ms : 2'000_ms;
-  const auto fig10 = run_fig10(fig10_horizon, fig10_event, bulk_ues);
-  report(short_mode ? "fig10_failover_short" : "fig10_failover", fig10,
-         bulk_ues, json_path);
+  const RunConfig config{.smoke = short_mode};
+  Workload fig10_w{"fig10_failover", config};
+  const Run fig10 = run(fig10_w, short_mode);
+  report(fig10_w, short_mode, fig10, json_path);
+  bool ok = fig10.shape_ok;
 
-  bool obs_ok = true;
   if (trace_mode) {
     // Same scenario, tracer attached; the untraced run above is the
-    // overhead baseline.
-    obs::Observability o{fig10_obs_config(bulk_ues)};
-    const auto traced = run_fig10(fig10_horizon, fig10_event, bulk_ues, &o);
-    obs_ok = report_obs(o, traced.wall_s, fig10.wall_s, obs_json_path,
-                        short_mode ? "fig10_failover_short" : "fig10_failover");
+    // overhead baseline. The bundle is declared first so it outlives the
+    // testbed it observes.
+    std::unique_ptr<obs::Observability> o;
+    Workload traced_w{"fig10_failover", config};
+    Testbed& tb = *traced_w.testbeds().front();
+    o = std::make_unique<obs::Observability>(tb.obs_config());
+    tb.attach_observability(*o);
+    const Run traced = run(traced_w, short_mode);
+    o->finalize();
+    ok = report_obs(*o, traced.wall_s, fig10.wall_s, obs_json_path,
+                    scenario_of(traced_w, short_mode)) &&
+         traced.shape_ok && ok;
   }
 
-  const auto tab02 = short_mode ? run_tab02(2'000_ms, bulk_ues)
-                                : run_tab02(6'000_ms, bulk_ues);
-  report(short_mode ? "tab02_migration_short" : "tab02_migration", tab02,
-         bulk_ues, json_path);
+  Workload tab02_w{"tab02_migration", config};
+  const Run tab02 = run(tab02_w, short_mode);
+  report(tab02_w, short_mode, tab02, json_path);
+  ok = ok && tab02.shape_ok;
 
   // --min-events-per-s: a deliberately loose CI floor. It does not try
   // to detect small regressions (wall-clock noise and sanitizer presets
   // would make that flaky); it catches the catastrophic kind, e.g. an
   // event loop gone accidentally quadratic.
-  bool rate_ok = true;
   if (min_events_per_s > 0.0) {
+    bool rate_ok = true;
     for (const auto& [scenario, r] :
          {std::pair{"fig10", &fig10}, std::pair{"tab02", &tab02}}) {
-      const double rate = double(r->events) / r->wall_s;
+      const double rate = r->events() / r->wall_s;
       if (rate < min_events_per_s) {
         std::printf("\nRATE FLOOR VIOLATION: %s ran at %.0f events/s "
                     "(floor %.0f)\n",
@@ -541,6 +482,7 @@ int main(int argc, char** argv) {
     if (rate_ok) {
       std::printf("\nevents/s sanity floor (%.0f): PASS\n", min_events_per_s);
     }
+    ok = ok && rate_ok;
   }
-  return obs_ok && rate_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

@@ -5,6 +5,8 @@
 //   * the file is one valid JSON array,
 //   * every element is a FLAT object (no nested arrays/objects),
 //   * every row carries a "bench" string key naming its producer,
+//   * every perf_e2e* row names its build (compiler, build_type,
+//     cxx_flags, hardware_threads),
 //   * every number is finite (the emitter turns NaN into null; a bare
 //     `nan`/`inf` token would break any standards-compliant reader).
 //
@@ -80,6 +82,8 @@ class Checker {
     }
     ++rows_;
     bool saw_bench = false;
+    std::string bench;
+    unsigned build_keys = 0;  // bit set of the build annotations present
     skip_ws();
     if (consume('}')) {
       return err("empty row object");
@@ -106,12 +110,31 @@ class Checker {
           return err("\"bench\" must be a string");
         }
         saw_bench = true;
+        bench = text_.substr(value_start + 1, pos_ - value_start - 2);
+      }
+      if (key == "compiler" || key == "build_type" || key == "cxx_flags") {
+        // Build annotations (perf_e2e): strings naming the build.
+        if (!is_string) {
+          return err("\"" + key + "\" must be a string");
+        }
+        build_keys |= key == "compiler" ? 1U : key == "build_type" ? 2U : 4U;
+      }
+      if (key == "hardware_threads") {
+        // Host annotation (perf_e2e): a non-negative integer (0 when the
+        // standard library cannot tell).
+        const std::string raw = text_.substr(value_start, pos_ - value_start);
+        if (raw.empty() ||
+            raw.find_first_not_of("0123456789") != std::string::npos) {
+          return err("\"hardware_threads\" must be a non-negative integer, "
+                     "got '" + raw + "'");
+        }
+        build_keys |= 8U;
       }
       if (key == "shards" || key == "ues") {
         // Shard-count / UE-population annotations (perf_e2e --shards,
-        // abl_scale_sweep, abl_ue_sweep, perf_e2e --ues): optional, but
-        // when present they must be positive integers — downstream
-        // sweep tooling groups rows by them.
+        // abl_ue_sweep): optional, but when present they must be
+        // positive integers — downstream sweep tooling groups rows by
+        // them.
         const std::string raw = text_.substr(value_start, pos_ - value_start);
         const bool is_digits =
             !raw.empty() &&
@@ -243,6 +266,12 @@ class Checker {
     }
     if (!saw_bench) {
       return err("row missing required \"bench\" key");
+    }
+    if (bench.starts_with("perf_e2e") && build_keys != 15U) {
+      // Every perf_e2e row names the build it came from.
+      return err("\"" + bench +
+                 "\" row must carry compiler, build_type, cxx_flags and "
+                 "hardware_threads");
     }
     return {};
   }
@@ -405,9 +434,16 @@ bool self_test() {
       .str("isa", "avx2")
       .boolean("flag", true);
   bool ok = slingshot::bench::append_bench_json(path.string(), row);
-  // Append a second row to exercise the array-reopening path too.
+  // Append a second row to exercise the array-reopening path too, and a
+  // perf_e2e row carrying its build annotations.
   ok = ok && slingshot::bench::append_bench_json(path.string(),
                                                  JsonRow{"validator_selftest"});
+  JsonRow perf_row{"perf_e2e_shards"};
+  perf_row.str("compiler", "GNU 12.2.0")
+      .str("build_type", "Release")
+      .str("cxx_flags", "-O3 -DNDEBUG")
+      .integer("hardware_threads", 4);
+  ok = ok && slingshot::bench::append_bench_json(path.string(), perf_row);
   ok = ok && validate_file(path);
   fs::remove(path, ec);
 
@@ -451,6 +487,15 @@ bool self_test() {
            "\"12\"}\n]\n",
            "[\n  {\"bench\": \"x\", \"bandwidth_overhead\": -2.0}\n]\n",
            "[\n  {\"bench\": \"x\", \"bandwidth_overhead\": null}\n]\n",
+           "[\n  {\"bench\": \"perf_e2e\", \"build_type\": \"Release\", "
+           "\"cxx_flags\": \"-O3\", \"hardware_threads\": 4}\n]\n",
+           "[\n  {\"bench\": \"perf_e2e_obs\", \"compiler\": \"GNU\", "
+           "\"build_type\": \"Release\", \"cxx_flags\": \"-O3\"}\n]\n",
+           "[\n  {\"bench\": \"perf_e2e_shards\", \"compiler\": 12, "
+           "\"build_type\": \"Release\", \"cxx_flags\": \"-O3\", "
+           "\"hardware_threads\": 4}\n]\n",
+           "[\n  {\"bench\": \"x\", \"hardware_threads\": -1}\n]\n",
+           "[\n  {\"bench\": \"x\", \"hardware_threads\": \"4\"}\n]\n",
        }) {
     const std::string text{bad};
     Checker checker{text};

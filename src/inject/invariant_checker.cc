@@ -13,15 +13,12 @@ InvariantChecker::InvariantChecker(Testbed& testbed,
   if (tb_.config().mode == TestbedMode::kSlingshot) {
     tb_.orion().set_tap(this);
   }
-  if (tb_.pipe_to_phy_a() != nullptr) {
-    tb_.pipe_to_phy_a()->set_tap([this](const FapiMessage& m) {
-      on_fapi_to_phy(Testbed::kPhyA, m);
-    });
-  }
-  if (tb_.pipe_to_phy_b() != nullptr) {
-    tb_.pipe_to_phy_b()->set_tap([this](const FapiMessage& m) {
-      on_fapi_to_phy(Testbed::kPhyB, m);
-    });
+  for (int p = 0; p < tb_.num_phys(); ++p) {
+    if (ShmFapiPipe* pipe = tb_.pipe_to_phy(p)) {
+      pipe->set_tap([this, phy = tb_.phy_id(p)](const FapiMessage& m) {
+        on_fapi_to_phy(phy, m);
+      });
+    }
   }
   const Nanos first = slots_.slot_start(slots_.next_slot_after(tb_.sim().now()));
   tick_ = tb_.sim().every(first, slots_.slot_duration, [this] { on_slot_tick(); });
@@ -33,11 +30,10 @@ InvariantChecker::~InvariantChecker() {
   if (tb_.config().mode == TestbedMode::kSlingshot) {
     tb_.orion().set_tap(nullptr);
   }
-  if (tb_.pipe_to_phy_a() != nullptr) {
-    tb_.pipe_to_phy_a()->set_tap({});
-  }
-  if (tb_.pipe_to_phy_b() != nullptr) {
-    tb_.pipe_to_phy_b()->set_tap({});
+  for (int p = 0; p < tb_.num_phys(); ++p) {
+    if (ShmFapiPipe* pipe = tb_.pipe_to_phy(p)) {
+      pipe->set_tap({});
+    }
   }
 }
 
@@ -140,8 +136,25 @@ void InvariantChecker::on_slot_tick() {
       }
     }
   };
-  sample(Testbed::kPhyA, tb_.phy_a().alive());
-  sample(Testbed::kPhyB, tb_.phy_b().alive());
+  for (int p = 0; p < tb_.num_phys(); ++p) {
+    sample(tb_.phy_id(p), tb_.phy(p).alive());
+  }
+  // I1 follows Orion's role assignment: a (phy, ru) stream is owed
+  // requests only while the PHY is the RU's primary or standby. A pool
+  // standby promoted to one cell's primary stops backing the others.
+  if (tb_.config().mode == TestbedMode::kSlingshot) {
+    for (const auto& [key, first] : first_seen_) {
+      const RuId ru{key.second};
+      const bool assigned = tb_.orion().active_phy(ru).value() == key.first ||
+                            tb_.orion().standby_phy(ru).value() == key.first;
+      auto& since = role_since_.try_emplace(key, -1).first->second;
+      if (!assigned) {
+        since = -1;
+      } else if (since < 0) {
+        since = slot;
+      }
+    }
+  }
 
   // Finalize I1 for slots old enough that all their requests (including
   // compensation nulls) must have been delivered.
@@ -196,6 +209,13 @@ void InvariantChecker::finalize_slot(std::int64_t slot) {
     if (!t.ever_seen || !t.alive || t.failed_episode_open ||
         slot < t.alive_since_slot + config_.startup_ramp_slots) {
       continue;
+    }
+    if (tb_.config().mode == TestbedMode::kSlingshot) {
+      const auto role = role_since_.find(key);
+      if (role == role_since_.end() || role->second < 0 ||
+          slot < role->second + config_.startup_ramp_slots) {
+        continue;
+      }
     }
     TtiCounts counts;
     if (it != tti_counts_.end()) {

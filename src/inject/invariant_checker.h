@@ -5,9 +5,10 @@
 // paper's correctness contracts every slot:
 //
 //  I1  Every live PHY receives at least one UL_TTI and one DL_TTI
-//      request (real or null) per slot (§6.2 — FlexRAN crashes
-//      otherwise; Slingshot's null requests and §6.1 loss compensation
-//      exist to uphold exactly this).
+//      request (real or null) per slot for each RU it is primary or
+//      standby of (§6.2 — FlexRAN crashes otherwise; Slingshot's null
+//      requests and §6.1 loss compensation exist to uphold exactly
+//      this).
 //  I2  At most one PHY's downlink reaches an RU in any TTI (§5.1 DL
 //      source filter).
 //  I3  Each migrate_on_slot command executes exactly once, at its
@@ -156,6 +157,9 @@ class InvariantChecker final : public MboxTap, public OrionL2Tap {
       tti_counts_;
   // First slot each (phy, ru) request stream was observed at.
   std::map<std::pair<std::uint8_t, std::uint8_t>, std::int64_t> first_seen_;
+  // Slot since which Orion has assigned each stream's PHY to its RU as
+  // primary or standby; -1 while unassigned.
+  std::map<std::pair<std::uint8_t, std::uint8_t>, std::int64_t> role_since_;
   std::int64_t finalized_through_ = -1;
   std::int64_t slots_checked_ = 0;
 

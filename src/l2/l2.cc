@@ -444,9 +444,12 @@ void L2Process::handle_uci(const FapiMessage& msg) {
 
 void L2Process::drop_or_requeue_dl(UeContext& ue, DlInflight& inflight) {
   ++stats_.dl_tbs_lost;
-  if (config_.rlc_am_requeue && !inflight.payload.empty()) {
+  if (!inflight.payload.empty()) {
     // RLC-AM: recover the TB's SDUs for retransmission, ahead of new
-    // data (insert at the queue front, preserving order).
+    // data (insert at the queue front, preserving order). A TB that
+    // exhausted HARQ, or whose feedback never arrived because the
+    // serving PHY died, is re-queued rather than dropped — why the
+    // paper's DL TCP sees no degradation through a failover (§8.2).
     auto sdus = rlc_unpack(inflight.payload);
     ++stats_.dl_rlc_requeues;
     // RLC-AM retransmission: the SDUs keep their original sequence

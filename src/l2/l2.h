@@ -40,12 +40,6 @@ struct L2Config {
   std::size_t mtu_bytes = 1400;  // scheduler never allocates below this
   std::size_t max_dl_queue_bytes = 3'000'000;  // per-UE buffer cap
   Nanos rlc_t_reordering = 30_ms;  // UL receive reordering window
-  // RLC-AM behaviour on the downlink: when a TB exhausts HARQ (or its
-  // feedback never arrives, e.g. because the serving PHY died), its
-  // SDUs are re-queued for retransmission instead of being dropped —
-  // which is why the paper's DL TCP sees no visible degradation through
-  // a failover while UL TCP must rely on the UE's TCP stack (§8.2).
-  bool rlc_am_requeue = true;
 };
 
 // Outcome record for a completed uplink HARQ sequence (for Table 2's

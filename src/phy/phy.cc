@@ -174,8 +174,7 @@ void PhyProcess::process_carrier_slot(CarrierState& carrier,
     if (!have_dl && !have_ul) {
       ++carrier.missing_streak;
       ++stats_.fapi_starved_slots;
-      if (config_.crash_on_fapi_starvation &&
-          carrier.missing_streak >= config_.crash_after_missing_slots) {
+      if (carrier.missing_streak >= config_.crash_after_missing_slots) {
         SLOG_WARN("phy", "%s crashing: FAPI starved for %d slots",
                   name_.c_str(), carrier.missing_streak);
         kill();

@@ -44,7 +44,6 @@ struct PhyConfig {
   SlotConfig slots{};
   int ldpc_max_iters = 8;        // the "FEC iterations" upgrade knob
   int ul_pipeline_slots = 2;     // UL slot N indicated at N+2 (Fig 7)
-  bool crash_on_fapi_starvation = true;
   int crash_after_missing_slots = 4;
   double default_snr_db = 5.0;   // SNR filter value before convergence
   double snr_filter_alpha = 0.25;

@@ -270,16 +270,12 @@ class Testbed {
   [[nodiscard]] OrionPhySide& orion_phy(int index) {
     return *orion_phys_.at(std::size_t(index));
   }
-  [[nodiscard]] OrionPhySide& orion_a() { return *orion_phys_.at(0); }
-  [[nodiscard]] OrionPhySide& orion_b() { return *orion_phys_.at(1); }
   // FAPI pipes feeding the PHYs / the L2; null in modes without them.
   [[nodiscard]] ShmFapiPipe* pipe_to_phy(int index) {
     return index < int(to_phy_pipes_.size())
                ? to_phy_pipes_[std::size_t(index)].get()
                : nullptr;
   }
-  [[nodiscard]] ShmFapiPipe* pipe_to_phy_a() { return pipe_to_phy(0); }
-  [[nodiscard]] ShmFapiPipe* pipe_to_phy_b() { return pipe_to_phy(1); }
   [[nodiscard]] ShmFapiPipe* pipe_to_l2() { return mbx_to_l2_.get(); }
 
   // ---- Traffic endpoints ----

@@ -165,6 +165,29 @@ TEST(FaultInjection, DrainWindowExpires) {
   EXPECT_EQ(chk.count_matching("I4"), 0U) << chk.report();
 }
 
+// The checker taps every PHY of a pool testbed, not just A and B: on a
+// 3-cell deployment a failover of PHY index 2 runs clean, and FAPI sent
+// to that failed PHY long after the swap is an I6 violation.
+TEST(FaultInjection, CheckerSeesFapiToPhyBeyondAAndB) {
+  TestbedConfig cfg;
+  cfg.seed = 7;
+  cfg.cells.assign(3, CellSpec{1, {20.0}});
+  Testbed tb{cfg};
+  ASSERT_EQ(tb.num_phys(), 4);
+  InvariantChecker chk{tb};
+  tb.start();
+  tb.sim().at(300_ms, [&tb] { tb.kill_phy(tb.phy_id(2)); });
+  tb.run_until(500_ms);
+
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(2)), tb.phy_id(3));
+  EXPECT_GT(chk.slots_checked(), 0);
+  EXPECT_TRUE(chk.ok()) << chk.report();
+
+  tb.pipe_to_phy(2)->send(make_null_dl_tti(tb.ru_id(2), 0));
+  EXPECT_EQ(chk.count_matching("I6: FAPI to failed phy 3"), 1U)
+      << chk.report();
+}
+
 // Randomized soak: ten thousand slots under a seeded random fault plan
 // (datagram loss/corruption, duplicated and delayed notifications, two
 // full kill/revive failover cycles). A correct system absorbs all of it

@@ -30,6 +30,10 @@ struct RunFingerprint {
   std::int64_t failed_cell_dropped = 0;
   std::int64_t max_other_dropped = 0;
   std::size_t pool_restored = 0;  // failed island's pool after replenish
+  // Failed island ends on a live PHY with its UE still attached.
+  bool failed_cell_recovered = false;
+  // Every untouched island's UE stays attached without a re-attach.
+  bool others_connected = false;
 
   bool operator==(const RunFingerprint&) const = default;
 };
@@ -77,6 +81,19 @@ RunFingerprint run_scenario(int shards) {
     }
   }
   fp.pool_restored = tb.island(0).orion().pool_available();
+
+  Testbed& failed = tb.island(0);
+  const PhyProcess* active =
+      failed.phy_by_id(failed.orion().active_phy(failed.ru_id(0)));
+  fp.failed_cell_recovered = active != nullptr && active->alive() &&
+                             failed.ue(0).connected() &&
+                             failed.ue(0).stats().reattach_events == 0;
+  fp.others_connected = true;
+  for (int c = 1; c < kCells; ++c) {
+    Testbed& island = tb.island(c);
+    fp.others_connected = fp.others_connected && island.ue(0).connected() &&
+                          island.ue(0).stats().reattach_events == 0;
+  }
   return fp;
 }
 
@@ -93,6 +110,8 @@ TEST(ShardDeterminism, GoldenTraceBitIdenticalAcrossShardCounts) {
   EXPECT_LE(serial.failed_cell_dropped, 4);
   EXPECT_EQ(serial.max_other_dropped, 0);
   EXPECT_EQ(serial.pool_restored, 1U);  // revived PHY rejoined the pool
+  EXPECT_TRUE(serial.failed_cell_recovered);
+  EXPECT_TRUE(serial.others_connected);
   // Cross-island traffic actually flowed through the mailbox.
   EXPECT_GE(serial.delivered, 1U);
 
