@@ -81,7 +81,7 @@ FronthaulMiddlebox::FronthaulMiddlebox(Simulator& sim, FhMboxConfig config)
       ru_addr_directory_(sim, sim.rng().stream("mbox.cp", 3)),
       ru_to_phy_(std::size_t(config.max_ids), 0),
       migration_store_(std::size_t(config.max_ids)),
-      failure_counters_(std::size_t(config.max_ids), 0),
+      counter_reset_tick_(std::size_t(config.max_ids), 0),
       watches_(std::size_t(config.max_ids)) {}
 
 void FronthaulMiddlebox::register_ru(RuId id, MacAddr mac) {
@@ -103,30 +103,77 @@ void FronthaulMiddlebox::bind_ru_to_phy(RuId ru, PhyId phy) {
 }
 
 void FronthaulMiddlebox::watch_phy(PhyId phy, MacAddr orion_mac) {
+  watch(phy, orion_mac, TickOrder::kBeforeTick);
+}
+
+void FronthaulMiddlebox::unwatch_phy(PhyId phy) {
+  unwatch(phy, TickOrder::kBeforeTick);
+}
+
+std::uint64_t FronthaulMiddlebox::ticks_now(TickOrder order) {
+  if (switch_ == nullptr) {
+    return 0;
+  }
+  return order == TickOrder::kBeforeTick ? switch_->ticks_before(sim_.now())
+                                         : switch_->ticks_through(sim_.now());
+}
+
+void FronthaulMiddlebox::reset_counter(std::uint8_t phy, std::uint64_t tick) {
+  if (watches_[phy].armed) {
+    folded_ticks_ += tick - counter_reset_tick_.read(phy);
+  }
+  counter_reset_tick_.write(phy, tick);
+}
+
+void FronthaulMiddlebox::request_deadline(std::uint64_t tick) {
+  if (deadline_tick_ != 0 && deadline_tick_ <= tick) {
+    return;  // the pending generator packet re-checks when it fires
+  }
+  deadline_tick_ = tick;
+  if (switch_ != nullptr) {
+    switch_->wake_program_at_tick(tick);
+  }
+}
+
+void FronthaulMiddlebox::watch(PhyId phy, MacAddr orion_mac, TickOrder order) {
   if (phy.value() >= watches_.size()) {
     ++stats_.unknown_dropped;
     return;
   }
+  const std::uint64_t tick = ticks_now(order);
+  reset_counter(phy.value(), tick);
   watches_[phy.value()] = WatchEntry{/*armed=*/true, orion_mac};
-  failure_counters_.write(phy.value(), 0);
   if (std::find(tracked_phys_.begin(), tracked_phys_.end(), phy.value()) ==
       tracked_phys_.end()) {
     tracked_phys_.push_back(phy.value());
   }
+  request_deadline(tick + std::uint64_t(config_.detector_ticks));
   if (tap_ != nullptr) {
     tap_->on_watch_changed(phy, true);
   }
 }
 
-void FronthaulMiddlebox::unwatch_phy(PhyId phy) {
+void FronthaulMiddlebox::unwatch(PhyId phy, TickOrder order) {
   if (phy.value() >= watches_.size()) {
     return;
   }
+  reset_counter(phy.value(), ticks_now(order));
   watches_[phy.value()].armed = false;
   std::erase(tracked_phys_, phy.value());
   if (tap_ != nullptr) {
     tap_->on_watch_changed(phy, false);
   }
+}
+
+std::uint64_t FronthaulMiddlebox::armed_ticks() {
+  const std::uint64_t now_tick = ticks_now(TickOrder::kAfterTick);
+  std::uint64_t open = 0;
+  for (const auto phy : tracked_phys_) {
+    if (watches_[phy].armed) {
+      open += now_tick - counter_reset_tick_.read(phy);
+    }
+  }
+  return folded_ticks_ + open;
 }
 
 bool FronthaulMiddlebox::slot_reached(std::int64_t pkt_wrapped,
@@ -209,7 +256,7 @@ PipelineVerdict FronthaulMiddlebox::process(Packet& packet, int /*port*/,
             return PipelineVerdict::kHandled;
           }
           const PhyId phy{packet.payload[1]};
-          unwatch_phy(phy);
+          unwatch(phy, TickOrder::kAfterTick);
           ++stats_.commands_received;
           if (tap_ != nullptr) {
             tap_->on_unwatch_command(phy);
@@ -222,7 +269,8 @@ PipelineVerdict FronthaulMiddlebox::process(Packet& packet, int /*port*/,
             return PipelineVerdict::kHandled;
           }
           // Notifications go back to whoever sent the command.
-          watch_phy(PhyId{packet.payload[1]}, packet.eth.src);
+          watch(PhyId{packet.payload[1]}, packet.eth.src,
+                TickOrder::kAfterTick);
           ++stats_.commands_received;
           return PipelineVerdict::kHandled;
         }
@@ -275,12 +323,19 @@ PipelineVerdict FronthaulMiddlebox::process(Packet& packet, int /*port*/,
   // Natural heartbeat: any DL fronthaul packet proves the PHY alive.
   // Re-arm only for PHYs still in the tracked set — a stray packet from
   // an unwatched (or failover-consumed and since unwatched) PHY must
-  // not resurrect its detector and fire duplicate notifications.
-  failure_counters_.write(*src_phy, 0);
-  watches_[*src_phy].armed =
-      watches_[*src_phy].notify_mac.bits() != 0 &&
-      std::find(tracked_phys_.begin(), tracked_phys_.end(), *src_phy) !=
-          tracked_phys_.end();
+  // not resurrect its detector and fire duplicate notifications. The
+  // pending generator packet stays where it is: it re-checks when it
+  // fires.
+  auto& entry = watches_[*src_phy];
+  const std::uint64_t tick = ticks_now(TickOrder::kAfterTick);
+  reset_counter(*src_phy, tick);
+  const bool was_armed = entry.armed;
+  entry.armed = entry.notify_mac.bits() != 0 &&
+                std::find(tracked_phys_.begin(), tracked_phys_.end(),
+                          *src_phy) != tracked_phys_.end();
+  if (entry.armed && !was_armed) {
+    request_deadline(tick + std::uint64_t(config_.detector_ticks));
+  }
 
   const RuId ru = header->ru;
   maybe_execute_migration(ru, pkt_wrapped);
@@ -309,35 +364,43 @@ PipelineVerdict FronthaulMiddlebox::process(Packet& packet, int /*port*/,
 
 void FronthaulMiddlebox::on_generator_packet(Packet& /*packet*/,
                                              PipelineContext& ctx) {
-  // Each generator tick increments every tracked PHY's counter; a
-  // saturated counter (n ticks without a downlink packet) means the
-  // timeout T elapsed with no heartbeat -> the PHY failed.
+  // The generator packet of the earliest tick at which an armed counter
+  // can saturate. A saturated counter (n ticks without a downlink
+  // packet) means the timeout T elapsed with no heartbeat -> the PHY
+  // failed. Every other armed counter sets the next deadline.
+  deadline_tick_ = 0;
+  const std::uint64_t now_tick = ticks_now(TickOrder::kAfterTick);
+  const auto n = std::uint64_t(config_.detector_ticks);
+  std::uint64_t next = 0;
   for (const auto phy : tracked_phys_) {
-    auto& watch = watches_[phy];
-    if (!watch.armed) {
+    auto& entry = watches_[phy];
+    if (!entry.armed) {
       continue;
     }
-    SLS_TRACE_DETECTOR_TICK(sim_);
-    const auto count = failure_counters_.read(phy);
-    if (count + 1 >= config_.detector_ticks) {
-      watch.armed = false;  // one notification per failure episode
-      failure_counters_.write(phy, 0);
-      ++stats_.failures_detected;
-      SLS_TRACE_EVENT(sim_, obs::ObsEvent::kDetectorFire, phy,
-                      slots_.slot_at(sim_.now()));
-      SLOG_WARN("fh_mbox", "PHY %u failure detected (timeout)", unsigned(phy));
-      if (tap_ != nullptr) {
-        tap_->on_failure_notify(PhyId{phy});
-      }
-      // Re-format the timer packet into a failure notification.
-      Packet notify;
-      notify.eth.dst = watch.notify_mac;
-      notify.eth.ethertype = EtherType::kFailureNotify;
-      notify.payload = {phy};
-      ctx.emit_to_mac(watch.notify_mac, std::move(notify));
-    } else {
-      failure_counters_.write(phy, std::uint16_t(count + 1));
+    const std::uint64_t reset = counter_reset_tick_.read(phy);
+    if (now_tick - reset < n) {
+      next = next == 0 ? reset + n : std::min(next, reset + n);
+      continue;
     }
+    entry.armed = false;  // one notification per failure episode
+    folded_ticks_ += n;
+    counter_reset_tick_.write(phy, reset + n);
+    ++stats_.failures_detected;
+    SLS_TRACE_EVENT(sim_, obs::ObsEvent::kDetectorFire, phy,
+                    slots_.slot_at(sim_.now()));
+    SLOG_WARN("fh_mbox", "PHY %u failure detected (timeout)", unsigned(phy));
+    if (tap_ != nullptr) {
+      tap_->on_failure_notify(PhyId{phy});
+    }
+    // Re-format the timer packet into a failure notification.
+    Packet notify;
+    notify.eth.dst = entry.notify_mac;
+    notify.eth.ethertype = EtherType::kFailureNotify;
+    notify.payload = {phy};
+    ctx.emit_to_mac(entry.notify_mac, std::move(notify));
+  }
+  if (next != 0) {
+    request_deadline(next);
   }
 }
 

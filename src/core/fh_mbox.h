@@ -31,6 +31,14 @@
 //  * Generator packets increment every tracked PHY's counter; a counter
 //    reaching n re-formats the packet into a failure notification sent
 //    to that PHY's L2-side Orion.
+//
+// The counters are evaluated lazily. Each watch keeps the generator tick
+// of its last reset, so its counter reads ticks_through(now) − reset.
+// The middlebox asks the switch for one generator packet, at the
+// earliest tick where an armed counter can reach n; that packet
+// re-checks every tracked PHY and asks for the next one. Detection
+// instants, notification order and counts are those of a per-tick loop
+// (DESIGN §5.2 gives the equivalence argument).
 #pragma once
 
 #include <algorithm>
@@ -153,6 +161,10 @@ class FronthaulMiddlebox final : public DataplaneProgram {
   void register_phy(PhyId id, MacAddr mac);
   void bind_ru_to_phy(RuId ru, PhyId phy);  // initial mapping
   // Failure detection: watch `phy`; notifications go to `orion_mac`.
+  // A direct call counts as running ahead of a generator tick at the
+  // same instant, as an event scheduled at least one tick period
+  // earlier does (the testbed's watch grace timer). The watch_phy and
+  // unwatch_phy command packets run in the pipeline, after that tick.
   void watch_phy(PhyId phy, MacAddr orion_mac);
   void unwatch_phy(PhyId phy);
 
@@ -170,9 +182,14 @@ class FronthaulMiddlebox final : public DataplaneProgram {
   }
 
   // ---- DataplaneProgram ----
+  void on_install(ProgrammableSwitch& sw) override { switch_ = &sw; }
   PipelineVerdict process(Packet& packet, int ingress_port,
                           PipelineContext& ctx) override;
   void on_generator_packet(Packet& packet, PipelineContext& ctx) override;
+
+  // Armed-PHY generator ticks so far: one per tracked, armed PHY per
+  // tick, what a per-tick loop would have walked (trace.detector_ticks).
+  [[nodiscard]] std::uint64_t armed_ticks();
 
   // Generator period implied by the config (switch owner starts it).
   [[nodiscard]] Nanos generator_period() const {
@@ -194,11 +211,25 @@ class FronthaulMiddlebox final : public DataplaneProgram {
     bool armed = false;
     MacAddr notify_mac;
   };
+  // Where in the generator's tick order a detector call runs.
+  enum class TickOrder : std::uint8_t {
+    kBeforeTick,  // direct control-plane call
+    kAfterTick,   // pipeline (a frame or a command packet)
+  };
 
   // Has this packet's slot reached the migration boundary (wrap-aware)?
   [[nodiscard]] bool slot_reached(std::int64_t pkt_wrapped,
                                   std::int64_t boundary_wrapped) const;
   void maybe_execute_migration(RuId ru, std::int64_t pkt_wrapped);
+  // Ticks that have run by now, for a call in `order`.
+  [[nodiscard]] std::uint64_t ticks_now(TickOrder order);
+  void watch(PhyId phy, MacAddr orion_mac, TickOrder order);
+  void unwatch(PhyId phy, TickOrder order);
+  // Reset `phy`'s counter at tick `tick`, folding the ticks of an armed
+  // interval that ends there into folded_ticks_.
+  void reset_counter(std::uint8_t phy, std::uint64_t tick);
+  // Make sure a generator packet is due no later than tick `tick`.
+  void request_deadline(std::uint64_t tick);
 
   Simulator& sim_;
   FhMboxConfig config_;
@@ -214,9 +245,14 @@ class FronthaulMiddlebox final : public DataplaneProgram {
   // Data-plane registers.
   RegisterArray<std::uint8_t> ru_to_phy_;
   RegisterArray<MigrationEntry> migration_store_;
-  RegisterArray<std::uint16_t> failure_counters_;
+  // Failure counters, kept as the generator tick of each counter's
+  // last reset: a counter reads ticks_through(now) − reset.
+  RegisterArray<std::uint64_t> counter_reset_tick_;
   std::vector<WatchEntry> watches_;
   std::vector<std::uint8_t> tracked_phys_;  // ids with an active watch
+  ProgrammableSwitch* switch_ = nullptr;    // whose generator we count
+  std::uint64_t deadline_tick_ = 0;         // 0: no generator packet due
+  std::uint64_t folded_ticks_ = 0;          // of closed armed intervals
   bool dl_filter_ = true;
   MboxTap* tap_ = nullptr;
   FhMboxStats stats_;

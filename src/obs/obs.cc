@@ -9,6 +9,10 @@ Observability::Observability(const ObservabilityConfig& config)
 void Observability::finalize() {
   if (finalized_) return;
   finalized_ = true;
+  for (auto& flush : flushes_) {
+    flush();
+  }
+  flushes_.clear();
   tracer_.export_into(registry_);  // also folds open spans
   registry_.freeze_gauges();
 }

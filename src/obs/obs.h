@@ -12,6 +12,7 @@
 #define SLINGSHOT_OBS_OBS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,14 +33,23 @@ class Observability {
   MetricsRegistry& registry() { return registry_; }
   SlotTracer& tracer() { return tracer_; }
 
-  // Fold open spans, copy tracer aggregates into the registry, and freeze
-  // sampler gauges.  Idempotent.  Call before exporting, and before any
-  // object a gauge sampler observes is destroyed.
+  // Run `flush` first in finalize(): a component that counts lazily
+  // (the switch's tick clock, the failure detector) adds its totals to
+  // the registry or the tracer there.
+  void on_finalize(std::function<void()> flush) {
+    flushes_.push_back(std::move(flush));
+  }
+
+  // Run the flushes, fold open spans, copy tracer aggregates into the
+  // registry, and freeze sampler gauges.  Idempotent.  Call before
+  // exporting, and before any object a flush or a gauge sampler
+  // observes is destroyed.
   void finalize();
 
  private:
   MetricsRegistry registry_;
   SlotTracer tracer_;
+  std::vector<std::function<void()>> flushes_;
   bool finalized_ = false;
 };
 
@@ -61,9 +71,6 @@ std::string merged_islands_json(const std::vector<Observability*>& islands);
 #define SLS_TRACE_EVENT(sim, kind, id, slot) \
   do {                                       \
   } while (0)
-#define SLS_TRACE_DETECTOR_TICK(sim) \
-  do {                               \
-  } while (0)
 
 #else
 
@@ -82,13 +89,6 @@ std::string merged_islands_json(const std::vector<Observability*>& islands);
     if (auto* sls_obs_ = (sim).obs()) {                                  \
       sls_obs_->tracer().event((kind), std::uint8_t(id),                 \
                                std::int64_t(slot), (sim).now());         \
-    }                                                                    \
-  } while (0)
-
-#define SLS_TRACE_DETECTOR_TICK(sim)                                     \
-  do {                                                                   \
-    if (auto* sls_obs_ = (sim).obs()) {                                  \
-      sls_obs_->tracer().detector_tick();                                \
     }                                                                    \
   } while (0)
 

@@ -104,7 +104,9 @@ class SlotTracer {
   // --- hot path (no allocation, no simulator interaction) ---------------
   void stamp(SlotStage stage, std::uint8_t ru, std::int64_t slot, Nanos t);
   void event(ObsEvent kind, std::uint8_t id, std::int64_t slot, Nanos t);
-  void detector_tick() { ++detector_ticks_; }
+  // One armed PHY counted on one generator tick; the detector counts
+  // lazily and adds its total at finalize (Testbed::attach_observability).
+  void detector_tick(std::uint64_t n = 1) { detector_ticks_ += n; }
 
   // Fold every open span.  Idempotent; call before reading aggregates.
   void finalize();

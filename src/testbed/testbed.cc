@@ -103,11 +103,12 @@ Testbed::Testbed(TestbedConfig config) : config_(config), sim_(config.seed) {
 }
 
 Testbed::~Testbed() {
-  // A longer-lived Observability must not sample destroyed components;
-  // collapse its gauge callbacks to their final values. (log_time_'s own
-  // destructor likewise uninstalls the sim-clock log time source.)
+  // A longer-lived Observability must not sample destroyed components:
+  // finalize it now, which runs its flushes and collapses its gauge
+  // callbacks to their final values. (log_time_'s own destructor
+  // likewise uninstalls the sim-clock log time source.)
   if (obs_ != nullptr) {
-    obs_->registry().freeze_gauges();
+    obs_->finalize();
     sim_.set_obs(nullptr);
   }
 }
@@ -690,8 +691,16 @@ void Testbed::attach_observability(obs::Observability& o) {
   obs_ = &o;
   sim_.set_obs(&o);
   auto& reg = o.registry();
-  switch_->bind_obs(reg.counter("switch.frames"),
-                    reg.counter("switch.generator_packets"));
+  switch_->bind_obs(reg.counter("switch.frames"));
+  // The generator and the detector count their ticks lazily; copy the
+  // totals in when the bundle is finalized.
+  o.on_finalize([this, &o] {
+    o.registry()
+        .counter("switch.generator_packets")
+        ->inc(switch_->generator_packets());
+    o.tracer().detector_tick(mbox_->armed_ticks() +
+                             (mbox_b_ ? mbox_b_->armed_ticks() : 0));
+  });
 
   // Gauge samplers: pulled only at snapshot time, so the hot path pays
   // nothing. The Testbed destructor freezes them (see ~Testbed).
