@@ -1,7 +1,6 @@
 #include "net/link.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace slingshot {
 namespace {
@@ -42,36 +41,19 @@ void Link::send(Packet&& packet, bool a_to_b) {
     return;
   }
 
-  if (config_.tx_time_model == TxTimeModel::kPicoCeil) {
-    std::int64_t& busy_ps = a_to_b ? busy_ps_ab_ : busy_ps_ba_;
-    const std::int64_t now_ps = std::int64_t(sim_.now()) * 1000;
-    if (config_.max_queue_bytes > 0 && busy_ps > now_ps &&
-        busy_ps - now_ps >
-            bytes_to_ps_ceil(config_.max_queue_bytes, config_.bandwidth_bps)) {
-      ++dropped_overflow_;  // tail-drop: egress buffer full
-      return;
-    }
-    const std::int64_t start_ps = std::max(now_ps, busy_ps);
-    busy_ps = start_ps + bytes_to_ps_ceil(packet.wire_size(),
-                                          config_.bandwidth_bps);
-    const Nanos arrival = Nanos((busy_ps + 999) / 1000) +
-                          config_.propagation_delay;
-    schedule_delivery(receiver, std::move(packet), arrival);
-    return;
-  }
-
-  Nanos& busy_until = a_to_b ? busy_until_ab_ : busy_until_ba_;
-  if (config_.max_queue_bytes > 0 && busy_until > sim_.now() &&
-      (busy_until - sim_.now()) * 1000 >
+  std::int64_t& busy_ps = a_to_b ? busy_ps_ab_ : busy_ps_ba_;
+  const std::int64_t now_ps = std::int64_t(sim_.now()) * 1000;
+  if (config_.max_queue_bytes > 0 && busy_ps > now_ps &&
+      busy_ps - now_ps >
           bytes_to_ps_ceil(config_.max_queue_bytes, config_.bandwidth_bps)) {
-    ++dropped_overflow_;
+    ++dropped_overflow_;  // tail-drop: egress buffer full
     return;
   }
-  const Nanos start = std::max(sim_.now(), busy_until);
-  const auto bits = double(packet.wire_size()) * 8.0;
-  const auto tx_time = Nanos(std::llround(bits / config_.bandwidth_bps * 1e9));
-  busy_until = start + tx_time;
-  const Nanos arrival = busy_until + config_.propagation_delay;
+  const std::int64_t start_ps = std::max(now_ps, busy_ps);
+  busy_ps =
+      start_ps + bytes_to_ps_ceil(packet.wire_size(), config_.bandwidth_bps);
+  const Nanos arrival =
+      Nanos((busy_ps + 999) / 1000) + config_.propagation_delay;
   schedule_delivery(receiver, std::move(packet), arrival);
 }
 

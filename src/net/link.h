@@ -13,22 +13,10 @@
 
 namespace slingshot {
 
-// How serialization time is computed from frame size and rate.
-enum class TxTimeModel : std::uint8_t {
-  // llround(bits / bw * 1e9): rounds *down* for small frames at high
-  // rates, so back-to-back sends drift and can overlap on the wire.
-  // Kept as the default because the golden traces are pinned to it.
-  kLegacyRound,
-  // Integer picoseconds with ceil rounding: queued frames never overlap
-  // and no drift accumulates across a burst.
-  kPicoCeil,
-};
-
 struct LinkConfig {
   double bandwidth_bps = 100e9;  // 100 GbE by default, as in the testbed
   Nanos propagation_delay = 1'000;  // 1 µs intra-rack fiber + transceivers
   double loss_probability = 0.0;    // rare in provisioned vRAN datacenters
-  TxTimeModel tx_time_model = TxTimeModel::kLegacyRound;
   // Finite per-direction egress buffer, as bytes of not-yet-serialized
   // backlog; a frame arriving to a full queue is tail-dropped. 0 keeps
   // the legacy unbounded queue.
@@ -45,7 +33,9 @@ class Link {
 
   // Send from side A toward side B (and vice versa). The frame is
   // serialized onto the wire after any frames already queued in that
-  // direction, then arrives propagation_delay later.
+  // direction, then arrives propagation_delay later. Serialization time
+  // is kept in integer picoseconds, rounded up: queued frames never
+  // overlap and no drift accumulates across a burst.
   void send_from_a(Packet&& packet) { send(std::move(packet), /*a_to_b=*/true); }
   void send_from_b(Packet&& packet) { send(std::move(packet), /*a_to_b=*/false); }
 
@@ -96,10 +86,8 @@ class Link {
   FrameSink* side_a_ = nullptr;
   FrameSink* side_b_ = nullptr;
   bool down_ = false;
-  Nanos busy_until_ab_ = 0;
-  Nanos busy_until_ba_ = 0;
-  // kPicoCeil keeps the wire occupancy in integer picoseconds so the
-  // sub-ns remainder of one frame is charged to the next.
+  // Wire occupancy in integer picoseconds, so the sub-ns remainder of
+  // one frame is charged to the next.
   std::int64_t busy_ps_ab_ = 0;
   std::int64_t busy_ps_ba_ = 0;
   std::uint64_t dropped_no_receiver_ = 0;

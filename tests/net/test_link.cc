@@ -202,34 +202,25 @@ TEST(Link, DeliveredCountsAtHandOffNotAtSchedule) {
   EXPECT_EQ(link.bytes_delivered(), 118U);
 }
 
-TEST(Link, TxTimeModelPinsLegacyDriftAndPicoCeil) {
-  auto arrivals = [](TxTimeModel model) {
-    Simulator sim;
-    LinkConfig cfg;
-    cfg.bandwidth_bps = 100e9;  // 118 B -> 9.44 ns exactly
-    cfg.propagation_delay = 0;
-    cfg.tx_time_model = model;
-    Link link{sim, cfg, sim.rng().stream("loss")};
-    Collector rx;
-    rx.sim = &sim;
-    link.attach_b(&rx);
-    for (int i = 0; i < 100; ++i) {
-      link.send_from_a(make_test_packet(100));
-    }
-    sim.run_until(1_ms);
-    return rx.times;
-  };
-  const auto legacy = arrivals(TxTimeModel::kLegacyRound);
-  const auto pico = arrivals(TxTimeModel::kPicoCeil);
-  ASSERT_EQ(legacy.size(), 100U);
+TEST(Link, TxTimeChargesSubNanosecondRemainders) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 100e9;  // 118 B -> 9.44 ns exactly
+  cfg.propagation_delay = 0;
+  Link link{sim, cfg, sim.rng().stream("loss")};
+  Collector rx;
+  rx.sim = &sim;
+  link.attach_b(&rx);
+  for (int i = 0; i < 100; ++i) {
+    link.send_from_a(make_test_packet(100));
+  }
+  sim.run_until(1_ms);
+  // Each frame's 0.44 ns remainder is charged to the next one, so the
+  // burst ends at ceil(100 * 9.44) = 944 ns and no frame starts before
+  // its predecessor finished. (Rounding each frame to 9 ns instead would
+  // compress the burst to 900 ns, every frame overlapping the last.)
+  const auto& pico = rx.times;
   ASSERT_EQ(pico.size(), 100U);
-  // Legacy llround drops the 0.44 ns remainder of every frame: the
-  // 100-frame burst compresses to 900 ns — each frame overlapping the
-  // previous one's true wire occupancy. Pico-ceil charges the remainder
-  // to the next frame, so the burst ends at ceil(100 * 9.44) = 944 ns
-  // and no frame starts before its predecessor finished.
-  EXPECT_EQ(legacy.front(), 9);
-  EXPECT_EQ(legacy.back(), 900);
   EXPECT_EQ(pico.front(), 10);
   EXPECT_EQ(pico.back(), 944);
   for (std::size_t i = 1; i < pico.size(); ++i) {

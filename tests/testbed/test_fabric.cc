@@ -55,8 +55,8 @@ TEST(Fabric, IdealConfigReproducesGoldenTrace) {
   tb.run_until(500_ms);
 
   // Same pins as GoldenTrace.SteadyStateMatchesSeedImplementation.
-  EXPECT_EQ(tb.sim().executed_events(), 117124ULL);
-  EXPECT_EQ(tb.sim().trace_hash(), 0x72da9490d4437484ULL);
+  EXPECT_EQ(tb.sim().executed_events(), 63548ULL);
+  EXPECT_EQ(tb.sim().trace_hash(), 0xf1efcffe0040b04eULL);
   // And the fabric layer reports itself absent.
   EXPECT_EQ(tb.fabric_b(), nullptr);
   EXPECT_EQ(tb.frer_totals().passed, 0U);

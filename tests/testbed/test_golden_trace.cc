@@ -86,11 +86,15 @@ obs::ObservabilityConfig obs_config_for_scenario() {
   return tb.obs_config();
 }
 
-// Constants captured from the pre-refactor event loop (seed 42).
+// Constants captured from the pre-refactor event loop (seed 42). The
+// executed-event count and trace hash were re-pinned once, when the
+// failure detector stopped scheduling an event per generator tick and
+// links kept only the picosecond tx-time model (DESIGN §5.2, §5.10);
+// the decode and flow counts did not move.
 TEST(GoldenTrace, SteadyStateMatchesSeedImplementation) {
   const GoldenRun r = run_scenario(/*with_failover=*/false);
-  EXPECT_EQ(r.executed, 117124ULL);
-  EXPECT_EQ(r.trace_hash, 0x72da9490d4437484ULL);
+  EXPECT_EQ(r.executed, 63548ULL);
+  EXPECT_EQ(r.trace_hash, 0xf1efcffe0040b04eULL);
   EXPECT_EQ(r.a_ul_crc_ok, 387);
   EXPECT_EQ(r.a_ul_crc_fail, 9);
   EXPECT_EQ(r.a_iters, 686);
@@ -118,8 +122,8 @@ TEST(GoldenTrace, FailoverInvariantAcrossCalendarGeometries) {
                                     << " log2_b=" << cal.log2_buckets);
     const GoldenRun r =
         run_scenario(/*with_failover=*/true, nullptr, &cal);
-    EXPECT_EQ(r.executed, 105137ULL);
-    EXPECT_EQ(r.trace_hash, 0xa72f2ee07b06d292ULL);
+    EXPECT_EQ(r.executed, 51561ULL);
+    EXPECT_EQ(r.trace_hash, 0xf61fd6bffbcc7eeaULL);
     EXPECT_EQ(r.b_ul_crc_ok, 195);
     EXPECT_EQ(r.flow_rx, 160ULL);
   }
@@ -127,8 +131,8 @@ TEST(GoldenTrace, FailoverInvariantAcrossCalendarGeometries) {
 
 TEST(GoldenTrace, FailoverMatchesSeedImplementation) {
   const GoldenRun r = run_scenario(/*with_failover=*/true);
-  EXPECT_EQ(r.executed, 105137ULL);
-  EXPECT_EQ(r.trace_hash, 0xa72f2ee07b06d292ULL);
+  EXPECT_EQ(r.executed, 51561ULL);
+  EXPECT_EQ(r.trace_hash, 0xf61fd6bffbcc7eeaULL);
   EXPECT_EQ(r.a_ul_crc_ok, 188);
   EXPECT_EQ(r.a_ul_crc_fail, 8);
   EXPECT_EQ(r.a_iters, 352);
@@ -148,8 +152,8 @@ TEST(GoldenTrace, FailoverMatchesSeedImplementation) {
 TEST(GoldenTrace, SteadyStateTracerCountsArePinned) {
   obs::Observability o{obs_config_for_scenario()};
   const GoldenRun r = run_scenario(/*with_failover=*/false, &o);
-  EXPECT_EQ(r.executed, 117124ULL);
-  EXPECT_EQ(r.trace_hash, 0x72da9490d4437484ULL);
+  EXPECT_EQ(r.executed, 63548ULL);
+  EXPECT_EQ(r.trace_hash, 0xf1efcffe0040b04eULL);
 
   const auto& t = o.tracer();
   EXPECT_EQ(t.spans_opened(), t.spans_closed());
@@ -168,13 +172,18 @@ TEST(GoldenTrace, SteadyStateTracerCountsArePinned) {
   EXPECT_EQ(t.late_stamps_dropped(), 0ULL);
   EXPECT_EQ(t.events_dropped(), 0ULL);
   EXPECT_TRUE(t.failover_episodes().empty());
+  // Logical tick counts, as the per-tick generator counted them: one
+  // tick per 9 us, and both PHYs armed from the 5 ms watch grace on.
+  EXPECT_EQ(t.detector_ticks(), 110000ULL);
+  EXPECT_EQ(o.registry().find_counter("switch.generator_packets")->value(),
+            55555ULL);
 }
 
 TEST(GoldenTrace, FailoverTracerCountsArePinned) {
   obs::Observability o{obs_config_for_scenario()};
   const GoldenRun r = run_scenario(/*with_failover=*/true, &o);
-  EXPECT_EQ(r.executed, 105137ULL);
-  EXPECT_EQ(r.trace_hash, 0xa72f2ee07b06d292ULL);
+  EXPECT_EQ(r.executed, 51561ULL);
+  EXPECT_EQ(r.trace_hash, 0xf61fd6bffbcc7eeaULL);
 
   const auto& t = o.tracer();
   EXPECT_EQ(t.spans_opened(), t.spans_closed());
@@ -193,6 +202,9 @@ TEST(GoldenTrace, FailoverTracerCountsArePinned) {
   EXPECT_GE(ep.initiate_t, ep.notify_t);
   EXPECT_GE(ep.boundary_slot, 0);
   EXPECT_EQ(ep.drains_accepted, 0);
+  EXPECT_EQ(t.detector_ticks(), 82247ULL);
+  EXPECT_EQ(o.registry().find_counter("switch.generator_packets")->value(),
+            55555ULL);
 }
 
 // Two runs of the same scenario in one process must agree exactly —
