@@ -426,6 +426,10 @@ void OrionCore::migrate(RuId ru, std::int64_t boundary_slot) {
   }
   auto& state = it->second;
   start_migration(state, MigrationEvent::Kind::kPlanned, boundary_slot, 0);
+  // The destination becomes this cell's primary: like a failover
+  // promotion, it consumes the pool member and re-points the other
+  // cells it backed.
+  consume_pool_member(state.secondary);
   SLS_TRACE_EVENT(port_, obs::ObsEvent::kPlannedMigration,
                   state.secondary.value(), boundary_slot);
   SLOG_INFO("orion", "%s planned migration ru=%u phy %u -> %u at slot %lld",

@@ -74,6 +74,34 @@ TEST(ScaleOut, ConsumingAStandbyRepointsTheOtherCells) {
   }
 }
 
+TEST(ScaleOut, PlannedMigrationOntoASharedMemberConsumesIt) {
+  Testbed tb{pool_config(3, 2)};
+  tb.start();
+  tb.run_until(400_ms);
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_EQ(tb.orion().standby_phy(tb.ru_id(c)), tb.phy_id(3));
+  }
+
+  tb.planned_migration_of(tb.ru_id(0));
+  tb.run_until(800_ms);
+
+  // Cell 0 now runs on the shared member, so the other cells no longer
+  // count on it as their standby: they move to the next free member.
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(3));
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(0));
+  for (int c = 1; c < 3; ++c) {
+    EXPECT_EQ(tb.orion().active_phy(tb.ru_id(c)), tb.phy_id(c)) << "cell " << c;
+    EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(c)), tb.phy_id(4)) << "cell " << c;
+  }
+  EXPECT_EQ(tb.orion().stats().standbys_reassigned, 2U);
+  EXPECT_EQ(tb.orion().pool_available(), 1U);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_TRUE(tb.ue(c).connected()) << "cell " << c;
+    EXPECT_EQ(tb.ue(c).stats().reattach_events, 0) << "cell " << c;
+    EXPECT_EQ(tb.ru_at(c).stats().dropped_ttis, 0) << "cell " << c;
+  }
+}
+
 TEST(ScaleOut, ConcurrentDoubleFailureInOneDetectionWindow) {
   Testbed tb{pool_config(2, 2)};
   FaultInjector inject{tb};
