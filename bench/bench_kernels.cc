@@ -325,6 +325,33 @@ BENCHMARK(BM_SimdDemapSoft)
     ->Args({int(simd::Level::kScalar), 8})
     ->Args({int(simd::Level::kAvx2), 8});
 
+// One TTI of a fleet cell's UE batch: 5 000 lanes of LCG draws, AR(1)
+// fading and credit accrual in one pass.
+void BM_SimdUeLaneStep(benchmark::State& state) {
+  const auto& kernels = simd::kernels_for(simd::Level(state.range(0)));
+  constexpr std::size_t kLanes = 5'000;
+  std::vector<float> snr(kLanes, 20.0F);
+  std::vector<std::uint32_t> lcg(kLanes);
+  std::vector<float> credits(kLanes, 0.0F);
+  std::vector<float> rate(kLanes, 3.0F);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    lcg[i] = std::uint32_t(i * 2654435761U) | 1U;
+  }
+  for (auto _ : state) {
+    kernels.ue_lane_step(snr.data(), lcg.data(), credits.data(), rate.data(),
+                         kLanes, 20.0F, 0.98F, 1.47F);
+    benchmark::DoNotOptimize(snr.data());
+    benchmark::DoNotOptimize(credits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(kLanes));
+  state.SetLabel(simd_arg_name(state.range(0)));
+}
+BENCHMARK(BM_SimdUeLaneStep)
+    ->ArgNames({"level"})
+    ->Arg(int(simd::Level::kScalar))
+    ->Arg(int(simd::Level::kSse2))
+    ->Arg(int(simd::Level::kAvx2));
+
 // ---------------------------------------------------------------------
 // BFP fronthaul codec, per dispatch level. The kernel-pinned entry
 // points (fronthaul/bfp.h) run the exact production block loop with a
@@ -671,10 +698,54 @@ bool verify_vn_update_parity() {
   return ok;
 }
 
+// The UE batch's lane step: identical SNR, LCG and credit lanes across
+// levels over several TTIs, at lengths that leave every vector tail.
+bool verify_ue_lane_step_parity() {
+  auto rng = RngRegistry{1237}.stream("parity");
+  bool ok = true;
+  constexpr std::size_t kLengths[] = {1, 9, 5'003};
+  for (const std::size_t n : kLengths) {
+    std::vector<float> snr(n);
+    std::vector<std::uint32_t> lcg(n);
+    std::vector<float> credits(n);
+    std::vector<float> rate(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      snr[i] = float(rng.gaussian(20.0, 10.0));
+      lcg[i] = std::uint32_t(rng.next_u64());
+      credits[i] = float(rng.gaussian(0.0, 50.0));
+      rate[i] = float(rng.next_u64() % 4);
+    }
+    // The three lanes, concatenated as raw bytes so the comparison is
+    // bitwise (signed zeros included).
+    auto run = [&](simd::Level level) {
+      auto s = snr;
+      auto l = lcg;
+      auto c = credits;
+      for (int tti = 0; tti < 4; ++tti) {
+        simd::kernels_for(level).ue_lane_step(s.data(), l.data(), c.data(),
+                                              rate.data(), n, 20.0F, 0.98F,
+                                              1.47F);
+      }
+      std::string bytes(3 * n * 4, '\0');
+      std::memcpy(bytes.data(), s.data(), n * 4);
+      std::memcpy(bytes.data() + n * 4, l.data(), n * 4);
+      std::memcpy(bytes.data() + 2 * n * 4, c.data(), n * 4);
+      return bytes;
+    };
+    const auto want = run(simd::Level::kScalar);
+    for (const auto level : {simd::Level::kSse2, simd::Level::kAvx2}) {
+      if (simd::level_supported(level)) {
+        ok &= check(run(level) == want, "ue_lane_step mismatch vs scalar");
+      }
+    }
+  }
+  return ok;
+}
+
 bool verify_kernel_parity() {
   const bool ok = verify_cn_minsum_block_parity() & verify_vn_update_parity() &
                   verify_demap_parity() & verify_crc_parity() &
-                  verify_bfp_parity();
+                  verify_bfp_parity() & verify_ue_lane_step_parity();
   std::printf("kernel parity gate: %s (active simd level: %s)\n",
               ok ? "PASS" : "FAIL",
               simd::level_name(simd::active_level()));

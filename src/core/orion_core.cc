@@ -374,6 +374,7 @@ void OrionCore::on_phy_indication(PhyId from, FapiMessage&& msg) {
 void OrionCore::rehabilitate(PhyId phy, std::int64_t slot) {
   // A failed-over primary gets its standby slot back (its keepalive feed
   // resumes) instead of being starved to death ...
+  bool orphaned = false;
   for (auto& [ru_value, state] : rus_) {
     if (state.failed_phy == phy) {
       state.failed_phy = PhyId{};
@@ -382,9 +383,24 @@ void OrionCore::rehabilitate(PhyId phy, std::int64_t slot) {
         tap_->on_rehabilitate(RuId{ru_value}, phy);
       }
       SLS_TRACE_EVENT(port_, obs::ObsEvent::kRehabilitated, phy.value(), slot);
+      if (state.primary != phy && state.secondary != phy &&
+          !state.boundary.has_value()) {
+        // The swap refilled the slot it vacated before it spoke: it
+        // backs nothing here, and its started carrier would starve.
+        port_.to_phy(phy, FapiMessage{state.ru,
+                                      config_.slots.slot_at(port_.now()),
+                                      StopRequest{state.ru}});
+        orphaned = true;
+      }
     }
   }
-  return_to_pool(phy);
+  // ... or, when a pool member already holds that slot, joins the pool
+  // as a free member ...
+  if (orphaned && !is_primary(phy)) {
+    add_pool_standby(phy);
+  } else {
+    return_to_pool(phy);
+  }
   // ... and a suspect standby is a failover target again.
   if (suspect(phy)) {
     std::erase(suspects_, phy);

@@ -144,10 +144,33 @@ std::size_t deadline_scan_scalar(const std::int64_t* deadlines, std::size_t n,
   return count;
 }
 
-void ar1_update_scalar(float* x, std::size_t n, float mean, float rho,
-                       const float* innov) {
+// The batch's per-lane RNG: a 32-bit LCG whose top 24 bits make a
+// uniform in [0, 1). The shifted value is below 2^24, so the int-to-
+// float conversion (signed in the vector kernels) is exact.
+constexpr std::uint32_t kLcgMul = 1664525U;
+constexpr std::uint32_t kLcgAdd = 1013904223U;
+constexpr float kLcgUnit = 0x1.0p-24F;
+
+// One lane of ue_lane_step; the vector kernels' tails run it too.
+[[gnu::always_inline]] inline void ue_lane_step_one(
+    float& snr, std::uint32_t& lcg, float& credits, float rate, float mean,
+    float rho, float innov_scale) {
+  std::uint32_t s = lcg * kLcgMul + kLcgAdd;
+  const float u1 = float(s >> 8) * kLcgUnit;
+  s = s * kLcgMul + kLcgAdd;
+  const float u2 = float(s >> 8) * kLcgUnit;
+  lcg = s;
+  const float innov = innov_scale * (u1 + u2 - 1.0F);
+  snr = mean + rho * (snr - mean) + innov;
+  credits = credits + rate;
+}
+
+void ue_lane_step_scalar(float* snr, std::uint32_t* lcg, float* credits,
+                         const float* rate, std::size_t n, float mean,
+                         float rho, float innov_scale) {
   for (std::size_t i = 0; i < n; ++i) {
-    x[i] = mean + rho * (x[i] - mean) + innov[i];
+    ue_lane_step_one(snr[i], lcg[i], credits[i], rate[i], mean, rho,
+                     innov_scale);
   }
 }
 
@@ -262,7 +285,7 @@ void bfp_unpack_scalar(const std::uint8_t* src, std::size_t n, int m,
 
 constexpr Kernels kScalarKernels{
     cn_minsum_block_scalar, vn_update_scalar,      block_parity_ok_scalar,
-    demap_soft_scalar,      deadline_scan_scalar,  ar1_update_scalar,
+    demap_soft_scalar,      deadline_scan_scalar,  ue_lane_step_scalar,
     peak_abs_scalar,        bfp_quantize_scalar,   bfp_dequantize_scalar,
     bfp_pack_scalar,        bfp_unpack_scalar};
 
@@ -392,19 +415,45 @@ std::size_t deadline_scan_sse2(const std::int64_t* deadlines, std::size_t n,
   return count;
 }
 
-void ar1_update_sse2(float* x, std::size_t n, float mean, float rho,
-                     const float* innov) {
+// SSE2 has no 32-bit mullo: multiply the even and the odd lanes as
+// 32x32->64 products and keep each product's low half. `b` is a
+// broadcast, so its odd lanes need no shift.
+inline __m128i mullo_epi32_sse2(__m128i a, __m128i b) {
+  const __m128i even = _mm_mul_epu32(a, b);
+  const __m128i odd = _mm_mul_epu32(_mm_srli_epi64(a, 32), b);
+  return _mm_unpacklo_epi32(_mm_shuffle_epi32(even, _MM_SHUFFLE(0, 0, 2, 0)),
+                            _mm_shuffle_epi32(odd, _MM_SHUFFLE(0, 0, 2, 0)));
+}
+
+void ue_lane_step_sse2(float* snr, std::uint32_t* lcg, float* credits,
+                       const float* rate, std::size_t n, float mean,
+                       float rho, float innov_scale) {
+  const __m128i vmul = _mm_set1_epi32(int(kLcgMul));
+  const __m128i vadd = _mm_set1_epi32(int(kLcgAdd));
+  const __m128 vunit = _mm_set1_ps(kLcgUnit);
+  const __m128 vone = _mm_set1_ps(1.0F);
   const __m128 vmean = _mm_set1_ps(mean);
   const __m128 vrho = _mm_set1_ps(rho);
+  const __m128 vscale = _mm_set1_ps(innov_scale);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128 v = _mm_loadu_ps(x + i);
-    const __m128 t = _mm_mul_ps(vrho, _mm_sub_ps(v, vmean));
-    _mm_storeu_ps(
-        x + i, _mm_add_ps(_mm_add_ps(vmean, t), _mm_loadu_ps(innov + i)));
+    auto* lanes = reinterpret_cast<__m128i*>(lcg + i);
+    __m128i s = _mm_add_epi32(mullo_epi32_sse2(_mm_loadu_si128(lanes), vmul),
+                              vadd);
+    const __m128 u1 = _mm_mul_ps(_mm_cvtepi32_ps(_mm_srli_epi32(s, 8)), vunit);
+    s = _mm_add_epi32(mullo_epi32_sse2(s, vmul), vadd);
+    const __m128 u2 = _mm_mul_ps(_mm_cvtepi32_ps(_mm_srli_epi32(s, 8)), vunit);
+    _mm_storeu_si128(lanes, s);
+    const __m128 innov =
+        _mm_mul_ps(vscale, _mm_sub_ps(_mm_add_ps(u1, u2), vone));
+    const __m128 t = _mm_mul_ps(vrho, _mm_sub_ps(_mm_loadu_ps(snr + i), vmean));
+    _mm_storeu_ps(snr + i, _mm_add_ps(_mm_add_ps(vmean, t), innov));
+    _mm_storeu_ps(credits + i, _mm_add_ps(_mm_loadu_ps(credits + i),
+                                          _mm_loadu_ps(rate + i)));
   }
   for (; i < n; ++i) {
-    x[i] = mean + rho * (x[i] - mean) + innov[i];
+    ue_lane_step_one(snr[i], lcg[i], credits[i], rate[i], mean, rho,
+                     innov_scale);
   }
 }
 
@@ -560,7 +609,7 @@ void bfp_unpack_sse2(const std::uint8_t* src, std::size_t n, int m,
 // stay scalar there.
 constexpr Kernels kSse2Kernels{
     cn_minsum_block_sse2, vn_update_scalar,    block_parity_ok_scalar,
-    demap_soft_sse2,      deadline_scan_sse2,  ar1_update_sse2,
+    demap_soft_sse2,      deadline_scan_sse2,  ue_lane_step_sse2,
     peak_abs_sse2,        bfp_quantize_sse2,   bfp_dequantize_sse2,
     bfp_pack_sse2,        bfp_unpack_sse2};
 
@@ -737,21 +786,40 @@ __attribute__((target("avx2"))) std::size_t deadline_scan_avx2(
   return count;
 }
 
-__attribute__((target("avx2"))) void ar1_update_avx2(float* x, std::size_t n,
-                                                     float mean, float rho,
-                                                     const float* innov) {
+// Explicit mul + add throughout (no FMA) to stay bit-exact with the
+// scalar form.
+__attribute__((target("avx2"))) void ue_lane_step_avx2(
+    float* snr, std::uint32_t* lcg, float* credits, const float* rate,
+    std::size_t n, float mean, float rho, float innov_scale) {
+  const __m256i vmul = _mm256_set1_epi32(int(kLcgMul));
+  const __m256i vadd = _mm256_set1_epi32(int(kLcgAdd));
+  const __m256 vunit = _mm256_set1_ps(kLcgUnit);
+  const __m256 vone = _mm256_set1_ps(1.0F);
   const __m256 vmean = _mm256_set1_ps(mean);
   const __m256 vrho = _mm256_set1_ps(rho);
+  const __m256 vscale = _mm256_set1_ps(innov_scale);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    // Explicit mul+add (no FMA) to stay bit-exact with the scalar form.
-    const __m256 t = _mm256_mul_ps(vrho, _mm256_sub_ps(v, vmean));
-    _mm256_storeu_ps(x + i, _mm256_add_ps(_mm256_add_ps(vmean, t),
-                                          _mm256_loadu_ps(innov + i)));
+    auto* lanes = reinterpret_cast<__m256i*>(lcg + i);
+    __m256i s = _mm256_add_epi32(
+        _mm256_mullo_epi32(_mm256_loadu_si256(lanes), vmul), vadd);
+    const __m256 u1 =
+        _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(s, 8)), vunit);
+    s = _mm256_add_epi32(_mm256_mullo_epi32(s, vmul), vadd);
+    const __m256 u2 =
+        _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(s, 8)), vunit);
+    _mm256_storeu_si256(lanes, s);
+    const __m256 innov =
+        _mm256_mul_ps(vscale, _mm256_sub_ps(_mm256_add_ps(u1, u2), vone));
+    const __m256 t =
+        _mm256_mul_ps(vrho, _mm256_sub_ps(_mm256_loadu_ps(snr + i), vmean));
+    _mm256_storeu_ps(snr + i, _mm256_add_ps(_mm256_add_ps(vmean, t), innov));
+    _mm256_storeu_ps(credits + i, _mm256_add_ps(_mm256_loadu_ps(credits + i),
+                                                _mm256_loadu_ps(rate + i)));
   }
   for (; i < n; ++i) {
-    x[i] = mean + rho * (x[i] - mean) + innov[i];
+    ue_lane_step_one(snr[i], lcg[i], credits[i], rate[i], mean, rho,
+                     innov_scale);
   }
 }
 
@@ -906,7 +974,7 @@ __attribute__((target("avx2"))) void bfp_unpack_avx2(const std::uint8_t* src,
 
 constexpr Kernels kAvx2Kernels{
     cn_minsum_block_avx2, vn_update_avx2,      block_parity_ok_avx2,
-    demap_soft_avx2,      deadline_scan_avx2,  ar1_update_avx2,
+    demap_soft_avx2,      deadline_scan_avx2,  ue_lane_step_avx2,
     peak_abs_avx2,        bfp_quantize_avx2,   bfp_dequantize_avx2,
     bfp_pack_avx2,        bfp_unpack_avx2};
 

@@ -110,13 +110,21 @@ struct Kernels {
   std::size_t (*deadline_scan)(const std::int64_t* deadlines, std::size_t n,
                                std::int64_t now, std::uint32_t* hits);
 
-  // Batched AR(1) filter step over `n` float lanes:
-  //   x[i] = mean + rho * (x[i] - mean) + innov[i]
-  // evaluated exactly in that operation order (sub, mul, add, add;
-  // no FMA contraction), so every level is bit-exact vs scalar. Used
-  // for the batch's per-lane SNR fading update.
-  void (*ar1_update)(float* x, std::size_t n, float mean, float rho,
-                     const float* innov);
+  // One TTI of the massive-UE batch over `n` lanes, each lane loaded
+  // and stored once. Per lane, in exactly this operation order:
+  //   lcg = lcg * 1664525 + 1013904223      (u32, wrapping)
+  //   u1  = float(lcg >> 8) * 2^-24
+  //   lcg = lcg * 1664525 + 1013904223
+  //   u2  = float(lcg >> 8) * 2^-24
+  //   snr = (mean + rho * (snr - mean)) + innov_scale * ((u1 + u2) - 1)
+  //   credits = credits + rate
+  // No FMA contraction, so every level is bit-exact vs scalar. The
+  // triangular innovation is the batch's stand-in for a gaussian fading
+  // step; the credit form equals the AR(1) step with mean 0, rho 1 for
+  // every rate except -0.0.
+  void (*ue_lane_step)(float* snr, std::uint32_t* lcg, float* credits,
+                       const float* rate, std::size_t n, float mean,
+                       float rho, float innov_scale);
 
   // ---- BFP codec kernels (fronthaul/bfp.cc fast lane) ----
   // These four cover one O-RAN BFP block: exponent scan, quantize,

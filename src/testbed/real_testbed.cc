@@ -143,6 +143,8 @@ Kv l2_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
     net.l2_to_orion.push(payload);
     drain(0);
   }
+  const std::int64_t last_send_slot =
+      (WallclockPacer::now_ns() - epoch) / cfg.tti_ns;
   const std::int64_t end =
       epoch + (cfg.run_slots + kGraceSlots) * cfg.tti_ns;
   while (WallclockPacer::now_ns() < end) {
@@ -154,6 +156,7 @@ Kv l2_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
   put(kv, "rx_records", std::int64_t(rx_records));
   put(kv, "error_inds", std::int64_t(error_inds));
   put(kv, "last_crc_slot", last_crc_slot);
+  put(kv, "last_send_slot", last_send_slot);
   put(kv, "max_gap_ns", max_gap);
   put(kv, "overruns", std::int64_t(pacer.overruns()));
   return kv;
@@ -355,6 +358,7 @@ RealRunResult RealTestbed::run() {
       }
       if (result.kill_wall_ns < 0) {
         result.kill_wall_ns = WallclockPacer::now_ns();
+        result.kill_slot = (result.kill_wall_ns - epoch) / config_.tti_ns;
       }
       if (k.phy < num_phys) {
         take_down(k.phy);
@@ -461,6 +465,7 @@ RealRunResult RealTestbed::run() {
   result.l2_error_inds = std::uint64_t(get_i64(l2_kv, "error_inds", 0));
   result.max_ind_gap_ns = get_i64(l2_kv, "max_gap_ns", 0);
   result.last_crc_slot = get_i64(l2_kv, "last_crc_slot", -1);
+  result.last_l2_slot = get_i64(l2_kv, "last_send_slot", -1);
   result.pacer_overruns = std::uint64_t(get_i64(l2_kv, "overruns", 0));
   result.parse_errors = std::uint64_t(get_i64(orion_kv, "parse_errors", 0));
   result.ledger = decode_ledger(orion_kv);

@@ -58,6 +58,12 @@ struct RealRunResult {
   bool ok = false;        // all roles launched, ran, and reported
   bool restored = false;  // CRC flow re-established by run end
   std::int64_t kill_wall_ns = -1;  // CLOCK_MONOTONIC instant of kill 1
+  // Wall slots since the epoch: the one kill 1 landed in, and the one
+  // in which the L2 sent its final slot's requests (-1 when not run).
+  // A kill that lands close to the L2's end leaves the detector no
+  // silent slots to count; these tell that from a missed detection.
+  std::int64_t kill_slot = -1;
+  std::int64_t last_l2_slot = -1;
   // First kDetected wall time minus the first kill's instant (-1 when
   // no fault ran).
   std::int64_t detection_ns = -1;

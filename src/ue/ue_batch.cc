@@ -22,17 +22,11 @@ constexpr std::uint32_t kMinUlPayloadBytes = 16;
 // UE holds grants it already heard across a short fronthaul outage.
 constexpr std::int64_t kGrantHoldSlots = 4;
 
-[[nodiscard]] float lcg_uniform(std::uint32_t& state) {
-  state = state * 1664525U + 1013904223U;
-  return float(state >> 8) * 0x1.0p-24F;
-}
-
 }  // namespace
 
 UeBatch::UeBatch(UeBatchConfig config) : config_(config) {
   const std::size_t n = config_.schedule.population;
   snr_db_.resize(n, config_.fading.mean_snr_db);
-  innov_.resize(n, 0.0F);
   credits_.resize(n, 0.0F);
   rate_.resize(n, 0.0F);
   // All lanes start connected, as freshly attached at slot 0.
@@ -163,17 +157,10 @@ void UeBatch::advance_tti(std::int64_t slot) {
   }
   const auto& kernels = simd::kernels();
 
-  // ---- Fading: per-lane innovations, then one vectorized AR(1) step.
-  for (std::size_t i = 0; i < n; ++i) {
-    const float u1 = lcg_uniform(lcg_[i]);
-    const float u2 = lcg_uniform(lcg_[i]);
-    innov_[i] = innov_scale_ * (u1 + u2 - 1.0F);
-  }
-  kernels.ar1_update(snr_db_.data(), n, config_.fading.mean_snr_db,
-                     config_.fading.ar1_rho, innov_.data());
-
-  // ---- Credit accrual: x += rate, on the same kernel (mean 0, rho 1).
-  kernels.ar1_update(credits_.data(), n, 0.0F, 1.0F, rate_.data());
+  // ---- Fading and credit accrual: one fused pass over every lane.
+  kernels.ue_lane_step(snr_db_.data(), lcg_.data(), credits_.data(),
+                       rate_.data(), n, config_.fading.mean_snr_db,
+                       config_.fading.ar1_rho, innov_scale_);
 
   // ---- RLF sweep. Effective lane deadline is
   // max(attach_slot, cell_last_ctrl) + timeout; the scalar guard covers
@@ -343,7 +330,6 @@ std::vector<UciFeedback> UeBatch::pull_uci() {
 
 std::size_t UeBatch::lane_bytes() const {
   return snr_db_.capacity() * sizeof(float) +
-         innov_.capacity() * sizeof(float) +
          credits_.capacity() * sizeof(float) +
          rate_.capacity() * sizeof(float) +
          rlf_deadline_.capacity() * sizeof(std::int64_t) +

@@ -7,10 +7,11 @@
 // loop. UeBatch restructures the per-UE hot state into contiguous SoA
 // lanes:
 //
-//   snr_db[]             AR(1)-fading SNR, stepped by the runtime-
-//                        dispatched simd::ar1_update kernel
-//   credits[] / rate[]   app-traffic credit counters (bytes), accrued by
-//                        the same kernel with mean=0, rho=1
+//   snr_db[]             AR(1)-fading SNR with a triangular innovation
+//                        drawn from lcg[], stepped by the runtime-
+//                        dispatched simd::ue_lane_step kernel
+//   credits[] / rate[]   app-traffic credit counters (bytes), accrued
+//                        (credits += rate) in the same pass
 //   rlf_deadline[]       i64 lanes swept by simd::deadline_scan —
 //                        instead of a per-UE supervision timer, the
 //                        batch runs ONE vectorized sweep per TTI, and
@@ -157,6 +158,12 @@ class UeBatch {
   [[nodiscard]] float lane_snr_db(std::uint32_t lane) const {
     return snr_db_[lane];
   }
+  [[nodiscard]] float lane_credits(std::uint32_t lane) const {
+    return credits_[lane];
+  }
+  [[nodiscard]] std::uint32_t lane_lcg(std::uint32_t lane) const {
+    return lcg_[lane];
+  }
   [[nodiscard]] bool lane_connected(std::uint32_t lane) const {
     return rlf_deadline_[lane] >= 0;
   }
@@ -183,7 +190,6 @@ class UeBatch {
 
   // ---- SoA lanes (all sized exactly to the population) ----
   std::vector<float> snr_db_;
-  std::vector<float> innov_;          // per-TTI fading innovations
   std::vector<float> credits_;        // app bytes awaiting an UL turn
   std::vector<float> rate_;           // credit accrual per TTI
   std::vector<std::int64_t> rlf_deadline_;       // <0: not connected

@@ -300,8 +300,11 @@ TEST(SimdKernels, Avx2KernelsReturnWithUpperYmmStateClean) {
          (void)k.deadline_scan(deadlines.data(), deadlines.size(), 9,
                                hits.data());
        }},
-      {"ar1_update",
-       [&] { k.ar1_update(y.data(), kN, 0.5F, 0.9F, x.data()); }},
+      {"ue_lane_step",
+       [&] {
+         k.ue_lane_step(y.data(), hits.data(), v2c.data(), x.data(), kN,
+                        0.5F, 0.9F, 1.5F);
+       }},
       {"peak_abs", [&] { (void)k.peak_abs(x.data(), x.size()); }},
       {"bfp_quantize",
        [&] { k.bfp_quantize(x.data(), x.size(), 0.25, 255, ints.data()); }},
@@ -462,72 +465,132 @@ TEST(SimdKernels, DeadlineScanMatchesScalarAtEveryTailLength) {
   }
 }
 
-// ---- ar1_update: the batch's fused fading / credit-accrual kernel ----
+// ---- ue_lane_step: the batch's fused LCG / fading / credit kernel ----
 
-void expect_ar1_parity(const std::vector<float>& x0, float mean, float rho,
-                       const std::vector<float>& innov) {
-  std::vector<float> want = x0;
-  simd::kernels_for(simd::Level::kScalar)
-      .ar1_update(want.data(), want.size(), mean, rho, innov.data());
+struct Lanes {
+  std::vector<float> snr;
+  std::vector<std::uint32_t> lcg;
+  std::vector<float> credits;
+  std::vector<float> rate;
+};
+
+void lane_step(simd::Level level, Lanes& l, float mean, float rho,
+               float scale) {
+  simd::kernels_for(level).ue_lane_step(l.snr.data(), l.lcg.data(),
+                                        l.credits.data(), l.rate.data(),
+                                        l.snr.size(), mean, rho, scale);
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Three consecutive TTIs, so every level also carries the LCG state it
+// wrote into the next step.
+void expect_lane_step_parity(const Lanes& start, float mean, float rho,
+                             float scale) {
+  Lanes want = start;
+  for (int tti = 0; tti < 3; ++tti) {
+    lane_step(simd::Level::kScalar, want, mean, rho, scale);
+  }
   for (const auto level : supported_vector_levels()) {
-    std::vector<float> got = x0;
-    simd::kernels_for(level).ar1_update(got.data(), got.size(), mean, rho,
-                                        innov.data());
-    EXPECT_EQ(
-        std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
-        << "level " << simd::level_name(level) << " n " << x0.size();
+    Lanes got = start;
+    for (int tti = 0; tti < 3; ++tti) {
+      lane_step(level, got, mean, rho, scale);
+    }
+    const auto where = std::string("level ") + simd::level_name(level) +
+                       " n " + std::to_string(start.snr.size());
+    EXPECT_TRUE(same_bits(want.snr, got.snr)) << where;
+    EXPECT_TRUE(same_bits(want.lcg, got.lcg)) << where;
+    EXPECT_TRUE(same_bits(want.credits, got.credits)) << where;
   }
 }
 
-TEST(SimdKernels, Ar1UpdateSemanticsOnScalar) {
-  // x = mean + rho*(x - mean) + innov, in exactly that operation order.
-  std::vector<float> x = {10.0F, -3.5F, 0.0F};
-  const std::vector<float> innov = {0.25F, -1.0F, 0.5F};
-  simd::kernels_for(simd::Level::kScalar)
-      .ar1_update(x.data(), x.size(), 20.0F, 0.5F, innov.data());
-  EXPECT_EQ(x[0], 20.0F + 0.5F * (10.0F - 20.0F) + 0.25F);
-  EXPECT_EQ(x[1], 20.0F + 0.5F * (-3.5F - 20.0F) + -1.0F);
-  EXPECT_EQ(x[2], 20.0F + 0.5F * (0.0F - 20.0F) + 0.5F);
-}
-
-TEST(SimdKernels, Ar1UpdateWithUnitRhoZeroMeanIsCreditAccrual) {
-  // The batch reuses the kernel as `credits += rate` — must be exact.
-  std::vector<float> credits = {0.0F, 1.5F, 1024.0F, 0.1F};
-  const std::vector<float> rate = {3.0F, 0.76F, 0.0F, 0.1F};
-  simd::kernels_for(simd::Level::kScalar)
-      .ar1_update(credits.data(), credits.size(), 0.0F, 1.0F, rate.data());
-  EXPECT_EQ(credits[0], 3.0F);
-  EXPECT_EQ(credits[1], 1.5F + 0.76F);
-  EXPECT_EQ(credits[2], 1024.0F);
-  EXPECT_EQ(credits[3], 0.1F + 0.1F);
-}
-
-TEST(SimdKernels, Ar1UpdateMatchesScalarOnRandomInputs) {
-  auto rng = RngRegistry{33}.stream("ar1-parity");
-  for (int trial = 0; trial < 2000; ++trial) {
-    const std::size_t n = 1 + rng.next_u64() % 40;
-    std::vector<float> x(n);
-    std::vector<float> innov(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = float(rng.gaussian(20.0, 15.0));
-      innov[i] = float(rng.gaussian(0.0, 1.5));
+// Random lanes salted with the edge cases: LCG states 0, 1 and
+// 0xFFFFFFFF, negative and signed-zero credits, zero rates.
+Lanes random_lanes(std::size_t n, RngStream& rng) {
+  Lanes l{std::vector<float>(n), std::vector<std::uint32_t>(n),
+          std::vector<float>(n), std::vector<float>(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    l.snr[i] = float(rng.gaussian(20.0, 15.0));
+    switch (rng.next_u64() % 4) {
+      case 0: l.lcg[i] = 0U; break;
+      case 1: l.lcg[i] = 1U; break;
+      case 2: l.lcg[i] = 0xFFFFFFFFU; break;
+      default: l.lcg[i] = std::uint32_t(rng.next_u64()); break;
     }
+    switch (rng.next_u64() % 4) {
+      case 0: l.credits[i] = -0.0F; break;
+      case 1: l.credits[i] = -float(rng.uniform(0.0, 100.0)); break;
+      default: l.credits[i] = float(rng.uniform(0.0, 1e4)); break;
+    }
+    l.rate[i] = rng.next_u64() % 3 == 0 ? 0.0F : float(rng.uniform(0.0, 8.0));
+  }
+  return l;
+}
+
+TEST(SimdKernels, UeLaneStepSemanticsOnScalar) {
+  // Two LCG draws, the triangular innovation, the AR(1) step and the
+  // credit accrual, in exactly the documented operation order.
+  Lanes l{{10.0F, -3.5F, 0.0F},
+          {0U, 1U, 0xFFFFFFFFU},
+          {1.5F, -2.0F, -0.0F},
+          {3.0F, 0.76F, 0.0F}};
+  const Lanes start = l;
+  lane_step(simd::Level::kScalar, l, 20.0F, 0.5F, 2.0F);
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::uint32_t s = start.lcg[i] * 1664525U + 1013904223U;
+    const float u1 = float(s >> 8) * 0x1.0p-24F;
+    s = s * 1664525U + 1013904223U;
+    const float u2 = float(s >> 8) * 0x1.0p-24F;
+    const float innov = 2.0F * (u1 + u2 - 1.0F);
+    EXPECT_EQ(l.lcg[i], s) << i;
+    EXPECT_EQ(l.snr[i], 20.0F + 0.5F * (start.snr[i] - 20.0F) + innov) << i;
+    EXPECT_EQ(l.credits[i], start.credits[i] + start.rate[i]) << i;
+  }
+}
+
+TEST(SimdKernels, UeLaneStepCreditFormMatchesUnitRhoZeroMeanAr1) {
+  // The credit accrual used to be the AR(1) step with mean 0 and rho 1;
+  // `credits + rate` must give the same bits, signed zeros included.
+  const std::vector<float> credits = {0.0F,  -0.0F, -0.0F, -7.25F,
+                                      -3.0F, 1.5F,  1024.0F, 0.1F};
+  const std::vector<float> rate = {0.0F, 0.0F, 3.0F, 0.0F,
+                                   3.0F, 0.76F, 0.0F, 0.1F};
+  for (const auto level : all_levels()) {
+    Lanes l{std::vector<float>(credits.size(), 20.0F),
+            std::vector<std::uint32_t>(credits.size(), 1U), credits, rate};
+    lane_step(level, l, 20.0F, 0.9F, 1.0F);
+    for (std::size_t i = 0; i < credits.size(); ++i) {
+      const float old_form = 0.0F + 1.0F * (credits[i] - 0.0F) + rate[i];
+      EXPECT_EQ(std::memcmp(&l.credits[i], &old_form, sizeof(float)), 0)
+          << simd::level_name(level) << " lane " << i;
+    }
+  }
+}
+
+TEST(SimdKernels, UeLaneStepMatchesScalarOnRandomInputs) {
+  auto rng = RngRegistry{33}.stream("lane-step-parity");
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Lanes l = random_lanes(1 + rng.next_u64() % 40, rng);
     const float mean = float(rng.gaussian(10.0, 10.0));
     const float rho = float(rng.uniform(0.0, 1.0));
-    expect_ar1_parity(x, mean, rho, innov);
+    const float scale = float(rng.uniform(0.0, 4.0));
+    expect_lane_step_parity(l, mean, rho, scale);
   }
 }
 
-TEST(SimdKernels, Ar1UpdateMatchesScalarAtEveryTailLength) {
-  auto rng = RngRegistry{34}.stream("ar1-tails");
-  for (std::size_t n = 1; n <= 33; ++n) {
-    std::vector<float> x(n);
-    std::vector<float> innov(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = float(rng.gaussian(0.0, 25.0));
-      innov[i] = float(rng.gaussian(0.0, 0.6));
-    }
-    expect_ar1_parity(x, 20.0F, 0.98F, innov);
+TEST(SimdKernels, UeLaneStepMatchesScalarAtEveryTailLength) {
+  auto rng = RngRegistry{34}.stream("lane-step-tails");
+  std::vector<std::size_t> lengths = {0, 1, 7, 8, 9, 5000};
+  for (std::size_t n = 2; n <= 33; ++n) {
+    lengths.push_back(n);
+  }
+  for (const std::size_t n : lengths) {
+    expect_lane_step_parity(random_lanes(n, rng), 20.0F, 0.98F, 1.47F);
   }
 }
 

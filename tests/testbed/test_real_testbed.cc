@@ -65,6 +65,16 @@ TEST(RealTestbed, InprocFailoverDetectsSwapsAndRestores) {
   cfg.kills = {PhyKill{60, 0}};
   RealRunResult result = RealTestbed{cfg}.run();
   ASSERT_TRUE(result.ok) << result.error;
+  // On failure, say where the kill landed against the L2's pacing: a
+  // kill near the last L2 slot means the detector had no time, not
+  // that it missed.
+  SCOPED_TRACE(::testing::Message()
+               << "kill planned at slot " << cfg.kills[0].slot
+               << ", landed in wall slot " << result.kill_slot
+               << "; L2's last send in wall slot " << result.last_l2_slot
+               << " of " << cfg.run_slots << "; last CRC slot "
+               << result.last_crc_slot << "; ledger "
+               << result.ledger.size() << " events");
   expect_failover_ledger(result);
   // Detection: the silence countdown starts at the last message heard
   // from the dead PHY, which precedes the kill by up to a slot or so,

@@ -229,6 +229,46 @@ TEST(ScaleOut, LossyFabricFalsePositivesKeepTheStandby) {
   EXPECT_TRUE(notification_identity_holds(s));
 }
 
+TEST(ScaleOut, FalsePositivePrimaryRefilledBeforeItSpeaksRejoinsThePool) {
+  // The primary hangs (alive, but its tx is silenced) and is failed
+  // over; the swap refills its vacated standby slot from the pool, and
+  // only then does it speak. Backing nothing, its started carrier would
+  // get no FAPI and the PHY's starvation watchdog would kill it: its
+  // rehabilitation must stop that carrier and make it a free pool
+  // member.
+  Testbed tb{pool_config(1, 2)};
+  FaultInjector inject{tb};
+  FaultPlan plan;
+  plan.add(400_ms, FaultKind::kHangPhy, FaultSite::kPhyA, 1, 2'500_us);
+  inject.arm(plan);
+  tb.start();
+  tb.run_until(1'500_ms);
+
+  const auto& s = tb.orion().stats();
+  EXPECT_EQ(s.failovers_initiated, 1U);
+  EXPECT_EQ(s.standbys_reassigned, 1U);  // the refill happened
+  EXPECT_EQ(s.rehabilitations, 1U);
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(1));
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(2));
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_TRUE(tb.phy(1).alive());
+  EXPECT_TRUE(tb.phy(2).alive());
+  EXPECT_EQ(tb.orion().pool_available(), 2U);  // PHY 2 and PHY 0
+  EXPECT_TRUE(tb.ue(0).connected());
+  EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
+  EXPECT_TRUE(notification_identity_holds(s));
+
+  // The new member is real protection: when PHY 1 dies and PHY 2 takes
+  // the cell over, PHY 0 refills the standby slot.
+  tb.kill_phy(tb.phy_id(1));
+  tb.run_until(2'500_ms);
+  EXPECT_EQ(tb.orion().active_phy(tb.ru_id(0)), tb.phy_id(2));
+  EXPECT_EQ(tb.orion().standby_phy(tb.ru_id(0)), tb.phy_id(0));
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_TRUE(tb.ue(0).connected());
+  EXPECT_TRUE(notification_identity_holds(tb.orion().stats()));
+}
+
 TEST(ScaleOut, DeadStandbyIsNeverAFailoverTarget) {
   Testbed tb{pool_config(1, 1)};
   tb.start();

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <vector>
 
 #include "l2/bulk_schedule.h"
 #include "ue/ue.h"
@@ -79,10 +81,62 @@ TEST(UeBatch, StartsFullyConnectedWithSmallFootprint) {
   EXPECT_EQ(batch.population(), 10'000U);
   EXPECT_EQ(batch.connected_count(), 10'000);
   EXPECT_EQ(batch.reattaching_count(), 0);
-  // SoA lanes: ~42 bytes of hot state per UE; anything near the
+  // SoA lanes: ~38 bytes of hot state per UE; anything near the
   // UserEquipment footprint (timers + maps, kilobytes) is a regression.
   EXPECT_LT(batch.bytes_per_ue(), 64.0);
   EXPECT_GT(batch.bytes_per_ue(), 0.0);
+}
+
+// The fused lane step against a per-lane reference written out here:
+// two LCG draws, the triangular innovation, the AR(1) step, and the
+// credit accrual in the AR(1) form it replaced (mean 0, rho 1). Every
+// lane's SNR, credits and LCG state must match bit for bit over 200
+// TTIs, at whatever SIMD level the process dispatched to.
+TEST(UeBatch, LaneTrajectoriesMatchScalarReferenceBitForBit) {
+  const auto cfg = small_config(45);  // leaves 8- and 4-lane tails
+  UeBatch batch(cfg);
+  const std::uint32_t n = batch.population();
+  std::vector<float> snr(n);
+  std::vector<float> credits(n);
+  std::vector<float> rate(n);
+  std::vector<std::uint32_t> lcg(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    snr[i] = batch.lane_snr_db(i);
+    credits[i] = batch.lane_credits(i);
+    lcg[i] = batch.lane_lcg(i);
+    switch (batch.lane_app(i)) {
+      case BulkApp::kWeb: rate[i] = cfg.web_rate_bytes_per_slot; break;
+      case BulkApp::kVoice: rate[i] = cfg.voice_rate_bytes_per_slot; break;
+      case BulkApp::kFullBuffer: rate[i] = 0.0F; break;
+    }
+  }
+  const float mean = cfg.fading.mean_snr_db;
+  const float rho = cfg.fading.ar1_rho;
+  const float scale = cfg.fading.innov_sigma_db * float(std::sqrt(6.0));
+  auto uniform = [](std::uint32_t& state) {
+    state = state * 1664525U + 1013904223U;
+    return float(state >> 8) * 0x1.0p-24F;
+  };
+  auto same = [](float a, float b) {
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+  };
+  for (std::int64_t slot = 0; slot < 200; ++slot) {
+    batch.on_dl_control(slot);  // keeps every lane connected
+    batch.advance_tti(slot);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const float u1 = uniform(lcg[i]);
+      const float u2 = uniform(lcg[i]);
+      const float innov = scale * (u1 + u2 - 1.0F);
+      snr[i] = mean + rho * (snr[i] - mean) + innov;
+      credits[i] = 0.0F + 1.0F * (credits[i] - 0.0F) + rate[i];
+      ASSERT_TRUE(same(batch.lane_snr_db(i), snr[i]))
+          << "slot " << slot << " lane " << i;
+      ASSERT_TRUE(same(batch.lane_credits(i), credits[i]))
+          << "slot " << slot << " lane " << i;
+      ASSERT_EQ(batch.lane_lcg(i), lcg[i]) << "slot " << slot << " lane " << i;
+    }
+  }
+  EXPECT_EQ(batch.connected_count(), std::int64_t(n));
 }
 
 TEST(UeBatch, TrafficMixFollowsConfiguredFractions) {
